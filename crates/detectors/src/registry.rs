@@ -14,7 +14,7 @@ use crate::ma::{MaOfDiff, SimpleMa, WeightedMa};
 use crate::simple_threshold::SimpleThreshold;
 use crate::svd::SvdDetector;
 use crate::tsd::Tsd;
-use crate::wavelet::WaveletDetector;
+use crate::wavelet::{Band, WaveletDetector};
 use crate::Detector;
 
 /// Machine-readable family + parameters of one configuration.
@@ -84,8 +84,24 @@ pub enum DetectorSpec {
         /// Sampling interval in seconds.
         interval: u32,
     },
-    /// No fused kernel: the boxed detector runs as-is (SVD, wavelet,
-    /// ARIMA, extension detectors).
+    /// SVD rank-1 residual over a `rows × cols` lag matrix.
+    Svd {
+        /// Rows (segment length in points).
+        rows: usize,
+        /// Columns (segments).
+        cols: usize,
+    },
+    /// One frequency band of the wavelet filter bank.
+    Wavelet {
+        /// Long-window length in days.
+        win_days: usize,
+        /// Which band the configuration scores.
+        band: Band,
+        /// Sampling interval in seconds.
+        interval: u32,
+    },
+    /// No fused kernel: the boxed detector runs as-is (ARIMA, extension
+    /// detectors).
     Opaque,
 }
 
@@ -278,7 +294,7 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
             push(
                 &mut out,
                 &mut next_group,
-                DetectorSpec::Opaque,
+                DetectorSpec::Svd { rows, cols },
                 Box::new(SvdDetector::new(rows, cols)),
             );
         }
@@ -289,7 +305,12 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
     for win_days in [3usize, 5, 7] {
         let views = WaveletDetector::banked(win_days, interval);
         for view in views {
-            out.push((next_group, DetectorSpec::Opaque, Box::new(view)));
+            let spec = DetectorSpec::Wavelet {
+                win_days,
+                band: view.band(),
+                interval,
+            };
+            out.push((next_group, spec, Box::new(view)));
         }
         next_group += 1;
     }

@@ -16,8 +16,14 @@
 //! O(c²·r) rebuild), with a periodic full rebuild to re-anchor rounding
 //! drift. The exact Jacobi SVD lives in `opprentice_numeric::svd` and
 //! anchors this approximation in tests.
+//!
+//! [`FusedSvd`] is the config-fused form the extraction engine runs: all
+//! of the registry's 15 `(rows, cols)` lanes over one shared window of
+//! present values, with the lanes of one column count advanced in lockstep
+//! (see its docs for the bit-identity argument).
 
-use crate::Detector;
+use crate::fused::FamilyKernel;
+use crate::{Detector, MAX_SEVERITY};
 
 /// Power-iteration steps per point (warm-started, so few are needed).
 const POWER_STEPS: usize = 4;
@@ -216,6 +222,353 @@ impl Detector for SvdDetector {
 
     fn config(&self) -> String {
         format!("row={},column={}", self.rows, self.cols)
+    }
+}
+
+/// Config-fused SVD lanes: every `(rows, cols)` configuration over one
+/// shared window of present values.
+///
+/// Each scalar [`SvdDetector`] keeps a private ring of the last
+/// `rows × cols` present values; all of them are suffixes of the same
+/// history, so the kernel keeps one ring sized for the largest lane (plus
+/// the value that just left it). The ring is *doubled*: the value at ring
+/// position `p` is stored at both `buf[p]` and `buf[p + span]`, so the
+/// newest `len ≤ span` values are always the plain slice ending at
+/// `buf[p + span]`, and no window read needs a wrap branch.
+///
+/// Lanes are grouped by column count (the Gram geometry) into packs of up
+/// to five; each pack keeps its lanes' Gram matrices, singular vectors
+/// and refresh clocks in lane-minor structure-of-arrays form
+/// (`gram[j1 · cols + j2][lane]`). The per-point work — the O(c²)
+/// incremental Gram update and the warm-started power iteration — then
+/// runs in lockstep across a pack: each scalar detector's dependency chain
+/// (matrix-vector product → norm → normalize → convergence test → next
+/// step) is serial, but the lanes' chains are independent, so interleaving
+/// them fills the pipeline that one chain leaves idle, and the fixed lane
+/// width lets every lane loop compile to straight-line vector code. A lane
+/// that has converged (or is still warming up, or is padding) keeps its
+/// vector by a per-lane select while the others finish their steps; the
+/// rebuild cadence stays per lane.
+///
+/// # Bit-identity
+///
+/// Per lane, every float operation is the scalar detector's, in the same
+/// order, on the same values: the same window entries (slices of the
+/// shared ring instead of ring lookups), the same `+=` chains from `0.0`,
+/// the same `/ norm` and `1/√c` fallback, no fused multiply-add. Lockstep
+/// only interleaves independent lanes' operations; selects discard the
+/// results a converged or cold lane's scalar twin would never have
+/// computed, and a Gram delta applied to a lane that rebuilds on the same
+/// point is overwritten by the rebuild, exactly as if it had been skipped.
+#[derive(Debug, Clone)]
+pub struct FusedSvd {
+    /// Doubled ring of present values (`2 × span`).
+    buf: Vec<f64>,
+    /// Ring length: the largest lane's window plus one.
+    span: usize,
+    /// Present values pushed so far.
+    count: usize,
+    packs: Vec<SvdPack>,
+    n_configs: usize,
+}
+
+/// Lane width of one lockstep pack: the registry's five row counts per
+/// column count, so its 15 configurations fill three packs exactly.
+const LANES: usize = 5;
+
+/// One lane-wide value per lane of a pack.
+type Lanes = [f64; LANES];
+
+/// Up to `LANES` lanes of one column count, in lane-minor SoA layout.
+/// Padding lanes have an unreachable window length and never warm up.
+#[derive(Debug, Clone)]
+struct SvdPack {
+    cols: usize,
+    /// Real lanes (the rest is padding).
+    n: usize,
+    rows: [usize; LANES],
+    /// Window length `rows × cols` per lane.
+    cap: [usize; LANES],
+    /// Kernel output slot of each real lane.
+    slot: [usize; LANES],
+    /// Slides since each lane's Gram matrix was last rebuilt.
+    gram_age: [usize; LANES],
+    /// `cols × cols` Gram matrices, `[j1 · cols + j2][lane]`.
+    gram: Vec<Lanes>,
+    /// `cols` singular-vector entries (warm starts), `[j][lane]`.
+    v: Vec<Lanes>,
+    /// Power-iteration scratch, same layout as `v`.
+    v_next: Vec<Lanes>,
+    /// Per-slide scratch: each column's leaving / entering entry.
+    leave: Vec<Lanes>,
+    enter: Vec<Lanes>,
+    /// Gram-rebuild scratch: one row of dot products.
+    dots: Vec<f64>,
+}
+
+impl SvdPack {
+    fn new(cols: usize) -> Self {
+        Self {
+            cols,
+            n: 0,
+            rows: [0; LANES],
+            cap: [usize::MAX; LANES],
+            slot: [0; LANES],
+            gram_age: [0; LANES],
+            gram: vec![[0.0; LANES]; cols * cols],
+            v: vec![[1.0 / (cols as f64).sqrt(); LANES]; cols],
+            v_next: vec![[0.0; LANES]; cols],
+            leave: vec![[0.0; LANES]; cols],
+            enter: vec![[0.0; LANES]; cols],
+            dots: vec![0.0; cols],
+        }
+    }
+
+    fn push_lane(&mut self, rows: usize, slot: usize) {
+        let l = self.n;
+        self.rows[l] = rows;
+        self.cap[l] = rows * self.cols;
+        self.slot[l] = slot;
+        self.n += 1;
+    }
+
+    /// Advances every lane by one present value. `hist` ends with that
+    /// value and holds at least the largest lane's window plus one entry
+    /// before it; `count` is the number of present values so far.
+    #[allow(clippy::needless_range_loop)] // lane indices keep the SoA algebra readable
+    fn advance(&mut self, hist: &[f64], count: usize, out: &mut [Option<f64>]) {
+        let c = self.cols;
+        let end = hist.len();
+
+        // 1. Incremental Gram slide (scalar `slide`), in lockstep. Per
+        //    column j the entry leaving (old window index j·r) and the one
+        //    arriving (new window index (j+1)·r − 1); lanes that are not
+        //    sliding yet contribute a zero delta.
+        for l in 0..self.n {
+            let (r, cap) = (self.rows[l], self.cap[l]);
+            if count > cap {
+                let s = &hist[end - 1 - cap..];
+                for j in 0..c {
+                    self.leave[j][l] = s[j * r];
+                    self.enter[j][l] = s[(j + 1) * r];
+                }
+            } else {
+                for j in 0..c {
+                    self.leave[j][l] = 0.0;
+                    self.enter[j][l] = 0.0;
+                }
+            }
+        }
+        for j1 in 0..c {
+            let (e1, l1) = (self.enter[j1], self.leave[j1]);
+            for j2 in j1..c {
+                let (e2, l2) = (self.enter[j2], self.leave[j2]);
+                let mut delta = [0.0; LANES];
+                for l in 0..LANES {
+                    delta[l] = e1[l] * e2[l] - l1[l] * l2[l];
+                }
+                let upper = &mut self.gram[j1 * c + j2];
+                for l in 0..LANES {
+                    upper[l] += delta[l];
+                }
+                if j1 != j2 {
+                    let lower = &mut self.gram[j2 * c + j1];
+                    for l in 0..LANES {
+                        lower[l] += delta[l];
+                    }
+                }
+            }
+        }
+
+        // 2. Per-lane refresh cadence: the first full window and every
+        //    GRAM_REFRESH-th slide rebuild the lane's Gram matrix from its
+        //    window (overwriting the delta just applied, which the scalar
+        //    detector skips on those slides).
+        // `1.0` while a lane still iterates: a float mask keeps the
+        // per-lane selects below in vector registers.
+        let mut active = [0.0f64; LANES];
+        for l in 0..self.n {
+            let (r, cap) = (self.rows[l], self.cap[l]);
+            if count == cap || (count > cap && self.gram_age[l] >= GRAM_REFRESH) {
+                let w = &hist[end - cap..];
+                for j1 in 0..c {
+                    // Row j1's dot products advance together (independent
+                    // chains), each still summing i = 0..r in order.
+                    let dots = &mut self.dots[j1..];
+                    dots.fill(0.0);
+                    for i in 0..r {
+                        let a = w[j1 * r + i];
+                        for (k, dot) in dots.iter_mut().enumerate() {
+                            *dot += a * w[(j1 + k) * r + i];
+                        }
+                    }
+                    for (k, &dot) in dots.iter().enumerate() {
+                        self.gram[j1 * c + j1 + k][l] = dot;
+                        self.gram[(j1 + k) * c + j1][l] = dot;
+                    }
+                }
+                self.gram_age[l] = 0;
+            } else if count > cap {
+                self.gram_age[l] += 1;
+            }
+            if count >= cap {
+                active[l] = 1.0;
+            }
+        }
+
+        // 3. Power iteration (scalar `rank1_residual`), in lockstep; a lane
+        //    leaves the sweep once its vector stops moving.
+        let uniform = 1.0 / (c as f64).sqrt();
+        for _ in 0..POWER_STEPS {
+            if active.iter().all(|&a| a == 0.0) {
+                break;
+            }
+            for j1 in 0..c {
+                let mut acc = [0.0; LANES];
+                for j2 in 0..c {
+                    let (g, x) = (&self.gram[j1 * c + j2], &self.v[j2]);
+                    for l in 0..LANES {
+                        acc[l] += g[l] * x[l];
+                    }
+                }
+                self.v_next[j1] = acc;
+            }
+            let mut norm = [0.0; LANES];
+            for x in &self.v_next {
+                for l in 0..LANES {
+                    norm[l] += x[l] * x[l];
+                }
+            }
+            for n in &mut norm {
+                *n = n.sqrt();
+            }
+            // One simple pass per step keeps every lane loop a straight
+            // vector sweep. The quotient is stored for every lane (a divide
+            // only used under a select would become a per-lane branch).
+            for x in &mut self.v_next {
+                for l in 0..LANES {
+                    x[l] /= norm[l];
+                }
+            }
+            // Checks cover the real lanes only; padding lanes never warm up
+            // and whatever their vectors hold is never read.
+            let real = self.n;
+            if norm[..real].iter().any(|&n| n < 1e-300) {
+                // Degenerate (all-zero) window: fall back to uniform.
+                for x in &mut self.v_next {
+                    for l in 0..LANES {
+                        x[l] = if norm[l] < 1e-300 { uniform } else { x[l] };
+                    }
+                }
+            }
+            // The scalar `fold(0.0, f64::max)` over |v − next|: a NaN
+            // distance is skipped, any larger one taken.
+            let mut moved = [0.0f64; LANES];
+            for (v, x) in self.v.iter().zip(&self.v_next) {
+                for l in 0..LANES {
+                    let d = (v[l] - x[l]).abs();
+                    moved[l] = if d > moved[l] { d } else { moved[l] };
+                }
+            }
+            if active[..real].iter().all(|&a| a != 0.0) {
+                // Every lane takes the step: the scalar swap, pack-wide.
+                std::mem::swap(&mut self.v, &mut self.v_next);
+            } else {
+                for (v, x) in self.v.iter_mut().zip(&self.v_next) {
+                    for l in 0..LANES {
+                        v[l] = if active[l] != 0.0 { x[l] } else { v[l] };
+                    }
+                }
+            }
+            for l in 0..LANES {
+                if moved[l] < 1e-12 {
+                    active[l] = 0.0;
+                }
+            }
+        }
+
+        // 4. Residual of the newest entry against the rank-1 approximation.
+        for l in 0..self.n {
+            let (r, cap) = (self.rows[l], self.cap[l]);
+            out[self.slot[l]] = if count >= cap {
+                let w = &hist[end - cap..];
+                let mut av_last = 0.0;
+                for j in 0..c {
+                    av_last += w[j * r + r - 1] * self.v[j][l];
+                }
+                let approx = av_last * self.v[c - 1][l];
+                Some((w[cap - 1] - approx).abs().clamp(0.0, MAX_SEVERITY))
+            } else {
+                None
+            };
+        }
+    }
+}
+
+impl FusedSvd {
+    /// Creates lanes for the given `(rows, cols)` configurations, in
+    /// output order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty or a lag matrix is smaller than 2×2.
+    pub fn new(configs: &[(usize, usize)]) -> Self {
+        assert!(!configs.is_empty(), "no configs");
+        let mut packs: Vec<SvdPack> = Vec::new();
+        for (slot, &(rows, cols)) in configs.iter().enumerate() {
+            assert!(rows >= 2 && cols >= 2, "lag matrix must be at least 2x2");
+            let p = match packs.iter().position(|p| p.cols == cols && p.n < LANES) {
+                Some(i) => i,
+                None => {
+                    packs.push(SvdPack::new(cols));
+                    packs.len() - 1
+                }
+            };
+            packs[p].push_lane(rows, slot);
+        }
+        let span = configs
+            .iter()
+            .map(|&(r, c)| r * c)
+            .max()
+            .expect("non-empty")
+            + 1;
+        Self {
+            buf: vec![0.0; 2 * span],
+            span,
+            count: 0,
+            packs,
+            n_configs: configs.len(),
+        }
+    }
+}
+
+impl FamilyKernel for FusedSvd {
+    fn n_configs(&self) -> usize {
+        self.n_configs
+    }
+
+    fn observe(&mut self, _timestamp: i64, value: Option<f64>, out: &mut [Option<f64>]) {
+        assert_eq!(out.len(), self.n_configs, "output width mismatch");
+        let Some(x) = value else {
+            out.fill(None);
+            return;
+        };
+        let p = self.count % self.span;
+        self.buf[p] = x;
+        self.buf[p + self.span] = x;
+        self.count += 1;
+        let hist = &self.buf[..=p + self.span];
+        for pack in &mut self.packs {
+            pack.advance(hist, self.count, out);
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn FamilyKernel> {
+        Box::new(self.clone())
+    }
+
+    fn family(&self) -> &'static str {
+        "SVD"
     }
 }
 

@@ -17,13 +17,16 @@
 //! band values, so each band reads in robust sigmas.
 //!
 //! The three bands of one window length read the *same* moving averages, so
-//! the registry's 9 wavelet configurations share 3 [`FilterBank`]s (one per
+//! the registry's 9 wavelet configurations share 3 filter banks (one per
 //! `win_days`): each bank advances once per point and hands all three band
 //! values to its views. Band views of one bank must therefore see points in
 //! lockstep — the extraction layer keeps registry-mates on one thread (see
-//! `ConfiguredDetector::group`).
+//! `ConfiguredDetector::group`). The extraction engine itself runs the
+//! config-fused [`FusedWavelet`], which owns its banks outright and feeds
+//! their band lanes in lockstep without the boxed views' shared-bank lock.
 
-use crate::Detector;
+use crate::fused::FamilyKernel;
+use crate::{Detector, MAX_SEVERITY};
 use opprentice_numeric::rolling::SortedWindow;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -88,19 +91,14 @@ impl RunningMa {
     }
 }
 
-/// The moving-average filter bank shared by the three band views of one
-/// window length. Advances once per point; the per-point band triple is
-/// cached so sibling views read it without recomputation.
+/// The moving-average filter bank behind the three bands of one window
+/// length: one present value in, the `[low, mid, high]` band triple out
+/// (`None` while the long window warms up).
 #[derive(Debug, Clone)]
 struct FilterBank {
-    /// Index of the last point fed in (0 = nothing yet).
-    seq: u64,
     short: RunningMa,
     medium: RunningMa,
     long: RunningMa,
-    /// `[low, mid, high]` for point `seq`; `None` while warming up or when
-    /// the point was missing.
-    bands: Option<[f64; 3]>,
 }
 
 impl FilterBank {
@@ -110,14 +108,40 @@ impl FilterBank {
         let medium = (ppd / 8).clamp(short + 1, 512);
         let long = (win_days * ppd).max(medium + 1);
         Self {
-            seq: 0,
             short: RunningMa::new(short),
             medium: RunningMa::new(medium),
             long: RunningMa::new(long),
-            bands: None,
         }
     }
 
+    fn push(&mut self, v: f64) -> Option<[f64; 3]> {
+        self.short.push(v);
+        self.medium.push(v);
+        self.long.push(v);
+        if !self.long.full() {
+            return None;
+        }
+        let high = v - self.short.mean();
+        let mid = self.short.mean() - self.medium.mean();
+        let low = self.medium.mean() - self.long.mean();
+        Some([low, mid, high])
+    }
+}
+
+/// A [`FilterBank`] shared by the boxed band views of one window length.
+/// Advances once per point; the per-point band triple is cached so sibling
+/// views read it without recomputation.
+#[derive(Debug, Clone)]
+struct SharedBank {
+    /// Index of the last point fed in (0 = nothing yet).
+    seq: u64,
+    bank: FilterBank,
+    /// `[low, mid, high]` for point `seq`; `None` while warming up or when
+    /// the point was missing.
+    bands: Option<[f64; 3]>,
+}
+
+impl SharedBank {
     /// Feeds point `seq` (idempotent: sibling views call this with the same
     /// `seq` and only the first call advances the filters).
     ///
@@ -136,19 +160,51 @@ impl FilterBank {
             "wavelet band views desynchronized (grouping violated)"
         );
         self.seq = seq;
-        self.bands = None;
-        let v = value?;
-        self.short.push(v);
-        self.medium.push(v);
-        self.long.push(v);
-        if !self.long.full() {
-            return None;
-        }
-        let high = v - self.short.mean();
-        let mid = self.short.mean() - self.medium.mean();
-        let low = self.medium.mean() - self.long.mean();
-        self.bands = Some([low, mid, high]);
+        self.bands = value.and_then(|v| self.bank.push(v));
         self.bands
+    }
+}
+
+/// One band's robust normalization: the running MAD of recent band values,
+/// refreshed every [`SPREAD_REFRESH`] points.
+#[derive(Debug, Clone)]
+struct BandSpread {
+    history: SortedWindow,
+    spread: f64,
+    since_refresh: usize,
+}
+
+impl BandSpread {
+    fn new() -> Self {
+        Self {
+            history: SortedWindow::new(SPREAD_WINDOW),
+            spread: 0.0,
+            since_refresh: 0,
+        }
+    }
+
+    /// Folds in the band value and returns its severity in robust sigmas
+    /// (`None` until enough band values have been seen).
+    fn score(&mut self, band_value: f64) -> Option<f64> {
+        self.history.push(band_value);
+        self.since_refresh += 1;
+        if self.spread == 0.0 || self.since_refresh >= SPREAD_REFRESH {
+            let raw = self.history.mad().unwrap_or(0.0);
+            let scale = self.history.max_abs();
+            self.spread = raw.max(1e-9 * (1.0 + scale));
+            self.since_refresh = 0;
+        }
+        (self.history.len() >= MIN_SPREAD_SAMPLES).then(|| band_value.abs() / self.spread)
+    }
+}
+
+impl Band {
+    fn index(self) -> usize {
+        match self {
+            Band::Low => 0,
+            Band::Mid => 1,
+            Band::High => 2,
+        }
     }
 }
 
@@ -159,12 +215,10 @@ pub struct WaveletDetector {
     band: Band,
     /// Shared with the sibling band views of the same window length (or
     /// private, for a standalone detector).
-    bank: Arc<Mutex<FilterBank>>,
+    bank: Arc<Mutex<SharedBank>>,
     /// This view's point counter, kept in lockstep with the bank's.
     seq: u64,
-    band_history: SortedWindow,
-    spread: f64,
-    since_refresh: usize,
+    spread: BandSpread,
 }
 
 impl Clone for WaveletDetector {
@@ -178,9 +232,7 @@ impl Clone for WaveletDetector {
             band: self.band,
             bank: Arc::new(Mutex::new(bank)),
             seq: self.seq,
-            band_history: self.band_history.clone(),
-            spread: self.spread,
-            since_refresh: self.since_refresh,
+            spread: self.spread.clone(),
         }
     }
 }
@@ -196,40 +248,45 @@ impl WaveletDetector {
     /// Panics if `win_days == 0`.
     pub fn new(win_days: usize, band: Band, interval: u32) -> Self {
         assert!(win_days > 0, "win_days must be positive");
-        let bank = Arc::new(Mutex::new(FilterBank::new(win_days, interval)));
-        Self::with_bank(win_days, band, bank)
+        Self::with_bank(win_days, band, Self::shared_bank(win_days, interval))
     }
 
-    /// The three band views of one window length, sharing a single filter
-    /// bank (3 moving averages instead of 9). The views must observe every
-    /// point in lockstep; the registry marks them as one scheduling group.
+    /// The three band views (low, mid, high) of one window length, sharing
+    /// a single filter bank (3 moving averages instead of 9). The views
+    /// must observe every point in lockstep; the registry marks them as one
+    /// scheduling group.
     ///
     /// # Panics
     ///
     /// Panics if `win_days == 0`.
     pub fn banked(win_days: usize, interval: u32) -> [WaveletDetector; 3] {
         assert!(win_days > 0, "win_days must be positive");
-        let bank = Arc::new(Mutex::new(FilterBank::new(win_days, interval)));
+        let bank = Self::shared_bank(win_days, interval);
         [Band::Low, Band::Mid, Band::High]
             .map(|band| Self::with_bank(win_days, band, Arc::clone(&bank)))
     }
 
-    fn with_bank(win_days: usize, band: Band, bank: Arc<Mutex<FilterBank>>) -> Self {
+    /// The band this view scores.
+    pub fn band(&self) -> Band {
+        self.band
+    }
+
+    fn shared_bank(win_days: usize, interval: u32) -> Arc<Mutex<SharedBank>> {
+        Arc::new(Mutex::new(SharedBank {
+            seq: 0,
+            bank: FilterBank::new(win_days, interval),
+            bands: None,
+        }))
+    }
+
+    fn with_bank(win_days: usize, band: Band, bank: Arc<Mutex<SharedBank>>) -> Self {
         Self {
             win_days,
             band,
             bank,
             seq: 0,
-            band_history: SortedWindow::new(SPREAD_WINDOW),
-            spread: 0.0,
-            since_refresh: 0,
+            spread: BandSpread::new(),
         }
-    }
-
-    fn refresh_spread(&mut self) {
-        let raw = self.band_history.mad().unwrap_or(0.0);
-        let scale = self.band_history.max_abs();
-        self.spread = raw.max(1e-9 * (1.0 + scale));
     }
 }
 
@@ -241,18 +298,7 @@ impl Detector for WaveletDetector {
             .lock()
             .expect("wavelet bank poisoned")
             .advance(self.seq, value)?;
-        let band_value = match self.band {
-            Band::Low => bands[0],
-            Band::Mid => bands[1],
-            Band::High => bands[2],
-        };
-        self.band_history.push(band_value);
-        self.since_refresh += 1;
-        if self.spread == 0.0 || self.since_refresh >= SPREAD_REFRESH {
-            self.refresh_spread();
-            self.since_refresh = 0;
-        }
-        (self.band_history.len() >= MIN_SPREAD_SAMPLES).then(|| band_value.abs() / self.spread)
+        self.spread.score(bands[self.band.index()])
     }
 
     fn clone_box(&self) -> Box<dyn Detector> {
@@ -265,6 +311,86 @@ impl Detector for WaveletDetector {
 
     fn config(&self) -> String {
         format!("win={} days,freq={}", self.win_days, self.band.label())
+    }
+}
+
+/// Config-fused wavelet lanes: the kernel owns one filter bank per
+/// distinct window length outright and feeds each bank's band lanes in
+/// lockstep — no shared-bank lock, no per-view sequence bookkeeping.
+/// Per lane the arithmetic is the boxed view's (the same bank pushes and
+/// the same running-MAD update), so severities are bit-identical.
+#[derive(Debug, Clone)]
+pub struct FusedWavelet {
+    banks: Vec<FilterBank>,
+    /// Each bank's band triple for the current point.
+    bands: Vec<Option<[f64; 3]>>,
+    /// `(bank index, band, spread state)` per lane, in output order.
+    lanes: Vec<(usize, Band, BandSpread)>,
+}
+
+impl FusedWavelet {
+    /// Creates lanes for the given `(win_days, band)` configurations at the
+    /// given sampling interval; lanes with the same `win_days` share a bank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty or a `win_days` is 0.
+    pub fn new(configs: &[(usize, Band)], interval: u32) -> Self {
+        assert!(!configs.is_empty(), "no configs");
+        let mut distinct: Vec<usize> = Vec::new();
+        let lanes = configs
+            .iter()
+            .map(|&(win_days, band)| {
+                assert!(win_days > 0, "win_days must be positive");
+                let bank = match distinct.iter().position(|&w| w == win_days) {
+                    Some(i) => i,
+                    None => {
+                        distinct.push(win_days);
+                        distinct.len() - 1
+                    }
+                };
+                (bank, band, BandSpread::new())
+            })
+            .collect();
+        let banks = distinct
+            .iter()
+            .map(|&w| FilterBank::new(w, interval))
+            .collect();
+        Self {
+            bands: vec![None; distinct.len()],
+            banks,
+            lanes,
+        }
+    }
+}
+
+impl FamilyKernel for FusedWavelet {
+    fn n_configs(&self) -> usize {
+        self.lanes.len()
+    }
+
+    fn observe(&mut self, _timestamp: i64, value: Option<f64>, out: &mut [Option<f64>]) {
+        assert_eq!(out.len(), self.lanes.len(), "output width mismatch");
+        let Some(v) = value else {
+            out.fill(None);
+            return;
+        };
+        for (slot, bank) in self.bands.iter_mut().zip(&mut self.banks) {
+            *slot = bank.push(v);
+        }
+        for ((bank, band, spread), slot) in self.lanes.iter_mut().zip(out) {
+            *slot = self.bands[*bank]
+                .and_then(|b| spread.score(b[band.index()]))
+                .map(|s| s.clamp(0.0, MAX_SEVERITY));
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn FamilyKernel> {
+        Box::new(self.clone())
+    }
+
+    fn family(&self) -> &'static str {
+        "wavelet"
     }
 }
 
@@ -328,7 +454,8 @@ mod tests {
     #[test]
     fn bands_have_increasing_window_order() {
         let d = WaveletDetector::new(3, Band::Mid, 3600);
-        let bank = d.bank.lock().unwrap();
+        let shared = d.bank.lock().unwrap();
+        let bank = &shared.bank;
         assert!(bank.short.len < bank.medium.len);
         assert!(bank.medium.len < bank.long.len);
     }

@@ -8,8 +8,11 @@
 //! arrival order (a ring, for running-moment queries that must match the
 //! arrival-order summation of [`crate::stats`]) and in sorted order (for
 //! order statistics), maintained lazily: pushes go to pending lists and are
-//! merged into the sorted array only when a query needs it, in
-//! `O(n + k log k)` for `k` pending updates and no steady-state allocation.
+//! merged into the sorted array only when a query needs it, with no
+//! steady-state allocation. The merge costs `O(k log k)` to sort `k`
+//! pending updates, `O(k log(n / k))` galloping searches to place them, and
+//! one bulk copy per untouched run between them — a `memcpy` instead of a
+//! compare-and-branch per element.
 //!
 //! Every query is **bit-identical** to the naive recompute it replaces:
 //!
@@ -23,8 +26,8 @@
 //! * [`SortedWindow::mad`] returns exactly `stats::mad(&collected)` — the
 //!   deviations `|x − median|` over sorted data form two monotone runs
 //!   (decreasing left of the median, increasing right of it), so their
-//!   median is found by a two-pointer merge walk without materializing or
-//!   sorting the deviation vector,
+//!   median is an `O(log n)` k-th-of-two-sorted-runs selection, without
+//!   materializing or sorting the deviation vector,
 //! * [`SortedWindow::max_abs`] equals
 //!   `collected.iter().map(|x| x.abs()).fold(0.0, f64::max)` — on sorted
 //!   data the maximum magnitude sits at one of the two ends,
@@ -37,7 +40,7 @@
 
 use std::collections::VecDeque;
 
-/// A bounded sliding window with O(1)/O(n) order-statistic queries.
+/// A bounded sliding window with cheap order-statistic queries.
 ///
 /// Pushing beyond the capacity evicts the oldest value. All query methods
 /// are bit-identical to collecting the window into a `Vec` (arrival order)
@@ -55,6 +58,10 @@ pub struct SortedWindow {
     pending_remove: Vec<f64>,
     /// Reused merge output buffer.
     merge_buf: Vec<f64>,
+    /// More churn than content since the last merge: the next query
+    /// rebuilds the sorted view from the ring, so pushes stop recording
+    /// pending updates (bounding them by the window size).
+    stale: bool,
 }
 
 impl SortedWindow {
@@ -93,10 +100,19 @@ impl SortedWindow {
     pub fn push(&mut self, v: f64) {
         debug_assert!(!v.is_nan(), "NaN pushed into SortedWindow");
         self.ring.push_back(v);
+        let evicted = (self.ring.len() > self.cap)
+            .then(|| self.ring.pop_front().expect("non-empty after push"));
+        if self.stale {
+            return;
+        }
         self.pending_add.push(v);
-        if self.ring.len() > self.cap {
-            let old = self.ring.pop_front().expect("non-empty after push");
+        if let Some(old) = evicted {
             self.pending_remove.push(old);
+        }
+        if self.pending_add.len() + self.pending_remove.len() >= self.sorted.len() {
+            self.stale = true;
+            self.pending_add.clear();
+            self.pending_remove.clear();
         }
     }
 
@@ -124,18 +140,16 @@ impl SortedWindow {
 
     /// Merges pending pushes/evictions into the sorted view.
     fn ensure_sorted(&mut self) {
-        if self.pending_add.is_empty() && self.pending_remove.is_empty() {
-            return;
-        }
-        let pending = self.pending_add.len() + self.pending_remove.len();
-        if pending >= self.sorted.len() {
+        if self.stale {
             // More churn than content: rebuild from the ring outright.
             self.sorted.clear();
             self.sorted.extend(self.ring.iter().copied());
             self.sorted
                 .sort_by(|a, b| a.partial_cmp(b).expect("NaN in SortedWindow"));
-            self.pending_add.clear();
-            self.pending_remove.clear();
+            self.stale = false;
+            return;
+        }
+        if self.pending_add.is_empty() && self.pending_remove.is_empty() {
             return;
         }
 
@@ -176,24 +190,37 @@ impl SortedWindow {
             rem.truncate(wj);
         }
 
-        // One pass: drop removed values, weave surviving additions in.
+        // Run-copy merge: the pending events (surviving additions and
+        // evictions, disjoint by value after cancellation) are visited in
+        // value order; each one's cut in `sorted` is found by galloping from
+        // the previous cut, and the untouched run in between is copied in
+        // bulk. An addition goes in front of the first element not below it
+        // (equal values: additions first), an eviction drops the first
+        // element equal to it, so equal values (including `-0.0` vs `0.0`)
+        // land in slots fixed by the push and query history alone.
         self.merge_buf.clear();
-        let (add, rem) = (&self.pending_add, &self.pending_remove);
-        let (mut ai, mut ri) = (0, 0);
-        for &x in &self.sorted {
-            debug_assert!(ri == rem.len() || rem[ri] >= x, "unmatched eviction");
-            if ri < rem.len() && rem[ri] == x {
-                ri += 1;
-                continue;
-            }
-            while ai < add.len() && add[ai] <= x {
-                self.merge_buf.push(add[ai]);
+        let (add, rem, sorted) = (&self.pending_add, &self.pending_remove, &self.sorted);
+        let out = &mut self.merge_buf;
+        let (mut ai, mut ri, mut cut) = (0, 0, 0);
+        while ai < add.len() || ri < rem.len() {
+            let take_add = ri == rem.len() || (ai < add.len() && add[ai] < rem[ri]);
+            let target = if take_add { add[ai] } else { rem[ri] };
+            let pos = cut + gallop_lower_bound(&sorted[cut..], target);
+            out.extend_from_slice(&sorted[cut..pos]);
+            if take_add {
+                out.push(target);
                 ai += 1;
+                cut = pos;
+            } else {
+                debug_assert!(
+                    pos < sorted.len() && sorted[pos] == target,
+                    "eviction of a value not in the window"
+                );
+                ri += 1;
+                cut = pos + 1;
             }
-            self.merge_buf.push(x);
         }
-        debug_assert_eq!(ri, rem.len(), "eviction of a value not in the window");
-        self.merge_buf.extend_from_slice(&add[ai..]);
+        out.extend_from_slice(&sorted[cut..]);
         std::mem::swap(&mut self.sorted, &mut self.merge_buf);
         self.pending_add.clear();
         self.pending_remove.clear();
@@ -216,55 +243,54 @@ impl SortedWindow {
 
     /// Median absolute deviation × 1.4826 (the Gaussian-consistent scale);
     /// `None` when empty. Bit-identical to `stats::mad` over the collected
-    /// window, computed allocation-free: over sorted values the deviations
-    /// `|x − median|` form a decreasing run (left of the median) and an
-    /// increasing run (right of it), so the deviation median falls out of a
-    /// two-pointer merge walk.
+    /// window, computed allocation-free in `O(log n)` after the merge: over
+    /// sorted values the deviations `|x − median|` form a non-decreasing
+    /// run leftwards of the median and another rightwards of it, so the
+    /// deviation median is a k-th-of-two-sorted-runs selection (binary
+    /// search on how many of the `k` smallest come from the left run).
     pub fn mad(&mut self) -> Option<f64> {
         let med = self.median()?;
         let s = &self.sorted;
         let n = s.len();
         let split = s.partition_point(|&x| x < med);
+        // `(x − med).abs()` on both sides, as the naive deviation vector.
+        let left = |i: usize| (s[split - 1 - i] - med).abs();
+        let right = |j: usize| (s[split + j] - med).abs();
+        let (a, b) = (split, n - split);
 
-        let (target_lo, target_hi) = ((n - 1) / 2, n / 2);
-        let (mut lo, mut hi) = (split, split);
-        let (mut dev_lo, mut dev_hi) = (0.0, 0.0);
-        for idx in 0..=target_hi {
-            // Next-smallest deviation from either run. `(x − med).abs()` on
-            // both sides to stay bit-faithful to the naive deviation vector.
-            let d = match (lo > 0, hi < n) {
-                (true, true) => {
-                    let l = (s[lo - 1] - med).abs();
-                    let r = (s[hi] - med).abs();
-                    if l <= r {
-                        lo -= 1;
-                        l
-                    } else {
-                        hi += 1;
-                        r
-                    }
-                }
-                (true, false) => {
-                    lo -= 1;
-                    (s[lo] - med).abs()
-                }
-                (false, true) => {
-                    let r = (s[hi] - med).abs();
-                    hi += 1;
-                    r
-                }
-                (false, false) => unreachable!("ran out of deviations"),
-            };
-            if idx == target_lo {
-                dev_lo = d;
-            }
-            if idx == target_hi {
-                dev_hi = d;
+        // Take the `t = (n - 1) / 2 + 1` smallest deviations: `i` from the
+        // left run, `t - i` from the right. The smallest `i` whose next
+        // left deviation is not below the last right one taken is a valid
+        // split (the predicate is monotone in `i`).
+        let t = (n - 1) / 2 + 1;
+        let (mut lo, mut hi) = (t.saturating_sub(b), t.min(a));
+        while lo < hi {
+            let i = (lo + hi) / 2;
+            if left(i) < right(t - i - 1) {
+                lo = i + 1;
+            } else {
+                hi = i;
             }
         }
+        let (i, j) = (lo, t - lo);
+        // Rank `(n - 1) / 2`: the larger of the last deviation taken from
+        // each run.
+        let dev_lo = match (i > 0, j > 0) {
+            (true, true) => left(i - 1).max(right(j - 1)),
+            (true, false) => left(i - 1),
+            (false, true) => right(j - 1),
+            (false, false) => unreachable!("t >= 1"),
+        };
         let raw = if n % 2 == 1 {
-            dev_hi
+            dev_lo
         } else {
+            // Rank `n / 2`: the smaller of the next deviation in each run.
+            let dev_hi = match (i < a, j < b) {
+                (true, true) => left(i).min(right(j)),
+                (true, false) => left(i),
+                (false, true) => right(j),
+                (false, false) => unreachable!("rank n / 2 exists"),
+            };
             (dev_lo + dev_hi) / 2.0
         };
         Some(raw * 1.4826)
@@ -272,15 +298,45 @@ impl SortedWindow {
 
     /// Maximum magnitude, 0.0 when empty. Bit-identical to
     /// `window.iter().map(|x| x.abs()).fold(0.0, f64::max)`.
+    ///
+    /// Read off the ends of the sorted view when it is current (a median
+    /// or MAD query just merged it); otherwise one pass over the ring —
+    /// cheaper than merging for two ends, and the maximum of non-NaN
+    /// magnitudes does not depend on the order they are visited in.
     pub fn max_abs(&mut self) -> f64 {
         if self.ring.is_empty() {
             return 0.0;
         }
-        self.ensure_sorted();
+        if self.stale || !self.pending_add.is_empty() || !self.pending_remove.is_empty() {
+            return self.ring.iter().fold(0.0, |m, &x| {
+                let a = x.abs();
+                if a > m {
+                    a
+                } else {
+                    m
+                }
+            });
+        }
         let first = self.sorted[0].abs();
         let last = self.sorted[self.sorted.len() - 1].abs();
         first.max(last)
     }
+}
+
+/// `xs.partition_point(|&x| x < target)` for sorted `xs`, found by
+/// galloping from the front: probe offsets 1, 3, 7, … until an element is
+/// not below `target`, then binary-search the last bracket. Merge events
+/// cluster near the previous cut, so the bracket is usually tiny.
+#[inline]
+fn gallop_lower_bound(xs: &[f64], target: f64) -> usize {
+    let mut lo = 0;
+    let mut step = 1;
+    while lo + step <= xs.len() && xs[lo + step - 1] < target {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(xs.len());
+    lo + xs[lo..hi].partition_point(|&x| x < target)
 }
 
 #[cfg(test)]
@@ -412,6 +468,104 @@ mod tests {
         b.push(1e6);
         assert_eq!(a.median(), before);
         assert_ne!(b.max_abs(), a.max_abs());
+    }
+
+    /// One test stream of `n` values: `kind` 0 is continuous, 1 draws from
+    /// a handful of values (duplicate-heavy), 2 mixes `-0.0`/`0.0` with
+    /// small integers, 3 spans magnitudes from 1e-300 to 1e300 with both
+    /// signs.
+    fn kind_stream(kind: u8, seed: u64, n: usize) -> Vec<f64> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..n)
+            .map(|_| {
+                let r = next();
+                match kind {
+                    0 => (r >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0,
+                    1 => [3.5, -1.0, 7.0, 3.5, 0.25][(r % 5) as usize],
+                    2 => [0.0, -0.0, 1.0, -2.0, -0.0, 0.0, 5.0][(r % 7) as usize],
+                    _ => {
+                        let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+                        let exp = ((r >> 8) % 601) as i32 - 300;
+                        sign * (1.0 + ((r >> 20) % 1000) as f64 / 1000.0) * 10f64.powi(exp)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Order statistics match the from-scratch `stats` recompute at
+        /// every query cadence the detectors use (every point, every 7th,
+        /// every 64th), for duplicate-heavy, signed-zero and wide-magnitude
+        /// streams, across window sizes from 1 to the 2016-value spread
+        /// window. The lazy merge state depends on *when* queries happen,
+        /// so every query advances it, and a bounded sample of them is
+        /// checked against the recompute.
+        #[test]
+        fn order_statistics_match_stats_at_every_cadence(
+            kind in 0u8..4,
+            cap in proptest::sample::select(vec![1usize, 2, 5, 35, 300, 2016]),
+            cadence in proptest::sample::select(vec![1usize, 7, 64]),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let n = cap + 200 * cadence;
+            let values = kind_stream(kind, seed, n);
+            let queries = n / cadence;
+            let stride = (queries / 120).max(1);
+            let mut w = SortedWindow::new(cap);
+            // A twin only ever asked for its magnitude (the plain-TSD use):
+            // its sorted view is never merged.
+            let mut solo = SortedWindow::new(cap);
+            for (i, &v) in values.iter().enumerate() {
+                w.push(v);
+                solo.push(v);
+                if (i + 1) % cadence != 0 {
+                    continue;
+                }
+                let (med, mad, max_abs) = (w.median(), w.mad(), w.max_abs());
+                let solo_max_abs = solo.max_abs();
+                if ((i + 1) / cadence) % stride != 0 {
+                    continue;
+                }
+                let xs = collected(&w);
+                // Signed zeros compare equal, so which one lands on the
+                // middle index is merge-history dependent; any other
+                // median must match bit for bit.
+                let (m, e) = (med.unwrap(), stats::median(&xs).unwrap());
+                proptest::prop_assert!(
+                    m.to_bits() == e.to_bits() || (m == 0.0 && e == 0.0),
+                    "median {} vs {} (kind {} cap {} cadence {} i {})", m, e, kind, cap, cadence, i
+                );
+                proptest::prop_assert_eq!(
+                    mad.map(f64::to_bits),
+                    stats::mad(&xs).map(f64::to_bits),
+                    "mad (kind {} cap {} cadence {} i {})", kind, cap, cadence, i
+                );
+                let naive = xs.iter().map(|x| x.abs()).fold(0.0, f64::max);
+                proptest::prop_assert_eq!(
+                    max_abs.to_bits(),
+                    naive.to_bits(),
+                    "max_abs (kind {} cap {} cadence {} i {})", kind, cap, cadence, i
+                );
+                proptest::prop_assert_eq!(
+                    solo_max_abs.to_bits(),
+                    naive.to_bits(),
+                    "unmerged max_abs (kind {} cap {} cadence {} i {})", kind, cap, cadence, i
+                );
+                // The sorted view is the collected window, sorted.
+                let mut expect = xs.clone();
+                expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                proptest::prop_assert!(w.sorted == expect, "sorted view (kind {} cap {})", kind, cap);
+            }
+        }
     }
 
     #[test]

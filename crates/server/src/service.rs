@@ -28,7 +28,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Tunables for the serving layer. The defaults suit production; tests
@@ -51,8 +51,9 @@ pub struct ServerConfig {
     /// Lines longer than this get `ERR` + disconnect (bounds memory per
     /// connection against garbage floods).
     pub max_line_len: usize,
-    /// Connections beyond this are answered `ERR busy` and closed
-    /// immediately instead of degrading everyone.
+    /// Connections beyond this are answered `ERR busy` and half-closed
+    /// immediately instead of degrading everyone (their input is drained
+    /// briefly off the accept thread so the reply is not lost to a reset).
     pub max_connections: usize,
     /// Snapshot a durable session every N applied commands.
     pub snapshot_every: u64,
@@ -631,8 +632,9 @@ impl Server {
     /// Hardening at the accept layer: finished worker handles are reaped
     /// every accept (no unbounded `JoinHandle` growth under churn), and
     /// connections beyond `max_connections` are shed with `ERR busy`
-    /// instead of queueing. Connection threads are joined before
-    /// returning, so a clean shutdown never strands a session mid-write.
+    /// instead of queueing. Connection threads (and the shed-connection
+    /// drainer) are joined before returning, so a clean shutdown never
+    /// strands a session mid-write.
     pub fn serve(self) -> std::io::Result<()> {
         let ctx = Arc::new(ConnCtx {
             config: self.config,
@@ -642,6 +644,10 @@ impl Server {
         let active = Arc::new(AtomicUsize::new(0));
         let workers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
+        let (shed_tx, shed_rx) = mpsc::channel::<TcpStream>();
+        let drainer = std::thread::Builder::new()
+            .name("shed-drain".into())
+            .spawn(move || drain_shed(shed_rx))?;
         for conn in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
                 break;
@@ -650,8 +656,13 @@ impl Server {
                 Ok(mut stream) => {
                     workers.lock().retain(|h| !h.is_finished());
                     if active.load(Ordering::SeqCst) >= ctx.config.max_connections {
+                        // Half-close: the reply and a FIN go out now, but
+                        // the socket stays open for reading — closing it
+                        // outright would answer the client's in-flight line
+                        // with a reset that can beat the reply.
                         let _ = stream.write_all(b"ERR busy\n");
-                        let _ = stream.shutdown(Shutdown::Both);
+                        let _ = stream.shutdown(Shutdown::Write);
+                        let _ = shed_tx.send(stream);
                         continue;
                     }
                     active.fetch_add(1, Ordering::SeqCst);
@@ -670,7 +681,66 @@ impl Server {
         for handle in workers.lock().drain(..) {
             let _ = handle.join();
         }
+        drop(shed_tx);
+        let _ = drainer.join();
         Ok(())
+    }
+}
+
+/// How long a shed connection's input is drained before its socket
+/// closes: ample for a client to send its first line and read the reply.
+const SHED_DRAIN: Duration = Duration::from_secs(2);
+
+/// Shed connections held open for draining at once; beyond this the
+/// oldest is closed (bounds descriptors under a connection storm).
+const SHED_HELD_MAX: usize = 256;
+
+/// Drains the input of shed connections off the accept thread, so accept
+/// never blocks on a client. Each connection (already answered `ERR busy`
+/// and half-closed) is read and discarded until the client closes it or
+/// [`SHED_DRAIN`] passes; with nothing left unread at close, the kernel
+/// ends it with a FIN instead of a reset. Exits when the accept loop drops
+/// the sender.
+fn drain_shed(rx: mpsc::Receiver<TcpStream>) {
+    let mut held: std::collections::VecDeque<(TcpStream, Instant)> =
+        std::collections::VecDeque::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        let next = if held.is_empty() {
+            rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected)
+        } else {
+            rx.recv_timeout(Duration::from_millis(5))
+        };
+        match next {
+            Ok(stream) => {
+                if stream.set_nonblocking(true).is_ok() {
+                    held.push_back((stream, Instant::now() + SHED_DRAIN));
+                    if held.len() > SHED_HELD_MAX {
+                        held.pop_front();
+                    }
+                }
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            // The server is stopping: close whatever is left.
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        }
+        let now = Instant::now();
+        held.retain_mut(|(stream, deadline)| {
+            if now >= *deadline {
+                return false;
+            }
+            // A bounded number of reads per pass keeps one flooding
+            // client from starving the rest.
+            for _ in 0..16 {
+                match stream.read(&mut buf) {
+                    Ok(0) => return false,
+                    Ok(_) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+                    Err(_) => return false,
+                }
+            }
+            true
+        });
     }
 }
 
@@ -1126,6 +1196,49 @@ mod tests {
             assert!(Instant::now() < deadline, "slot never freed: {reply}");
             std::thread::sleep(Duration::from_millis(20));
         }
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// A shed client that sends a full line before reading must still read
+    /// `ERR busy` and then a clean end of stream. Closing a socket outright
+    /// makes the kernel answer the client's line with a reset, and the
+    /// client's next write or read can then fail before the reply is seen.
+    /// The line goes out in two writes with pauses (as `testing::Client`
+    /// writes it), so the reset, if any, lands in between; looped, since
+    /// the failure is a race.
+    #[test]
+    fn shed_reply_survives_client_input() {
+        let config = ServerConfig {
+            max_connections: 1,
+            ..test_config()
+        };
+        let (handle, join) = start_server(config);
+        let mut first = Client::connect(handle.addr());
+        assert!(first.send("HELLO 60").starts_with("OK"));
+        for attempt in 0..20 {
+            let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+            std::thread::sleep(Duration::from_millis(5));
+            let sent = stream.write_all(b"HELLO 60").and_then(|()| {
+                std::thread::sleep(Duration::from_millis(5));
+                stream.write_all(b"\n")
+            });
+            if let Err(e) = sent {
+                panic!("attempt {attempt}: shed connection reset under the client's line: {e}");
+            }
+            let mut reader = BufReader::new(stream);
+            let mut reply = String::new();
+            reader
+                .read_line(&mut reply)
+                .unwrap_or_else(|e| panic!("attempt {attempt}: shed reply lost: {e}"));
+            assert_eq!(reply, "ERR busy\n", "attempt {attempt}");
+            reply.clear();
+            let n = reader
+                .read_line(&mut reply)
+                .unwrap_or_else(|e| panic!("attempt {attempt}: no clean close: {e}"));
+            assert_eq!(n, 0, "attempt {attempt}: unexpected {reply:?}");
+        }
+        first.send("QUIT");
         handle.shutdown();
         join.join().unwrap();
     }

@@ -9,14 +9,19 @@
 //! - cost-model shard rebalancing mid-stream never changes a single
 //!   output bit (placement is pure scheduling);
 //! - the scalar fallback path (extension registry: Opaque specs) fuses
-//!   correctly too.
+//!   correctly too;
+//! - the lockstep SVD kernel matches the boxed SVD detectors on every
+//!   pruned subset of its 15 lanes, across missing bursts at Gram-refresh
+//!   boundaries, converged (constant) and degenerate (all-zero) windows,
+//!   and mid-stream clones; the wavelet kernel likewise on every subset
+//!   of its 9 lanes.
 //!
 //! The oracle is always the raw scalar registry driven point-by-point
 //! through `observe_clamped` — *not* the extraction engine, so the two
 //! implementations stay independent.
 
 use opprentice_repro::detectors::fused::plan;
-use opprentice_repro::detectors::registry::registry;
+use opprentice_repro::detectors::registry::{registry, ConfiguredDetector, DetectorSpec};
 use opprentice_repro::opprentice::features::OnlineExtractor;
 use proptest::prelude::*;
 
@@ -235,5 +240,204 @@ fn non_finite_inputs_normalize_to_missing_and_stay_lockstep() {
                 "feature {c} diverged at point {i}"
             );
         }
+    }
+}
+
+/// The registry's configurations of detector `family` whose bit is set in
+/// `mask` (bit `i` = the family's `i`-th configuration, registry order).
+fn family_configs(family: &str, mask: u16) -> Vec<ConfiguredDetector> {
+    registry(INTERVAL)
+        .into_iter()
+        .filter(|c| c.detector.name() == family)
+        .enumerate()
+        .filter(|(i, _)| mask >> i & 1 == 1)
+        .map(|(_, c)| c)
+        .collect()
+}
+
+/// Drives the fused kernel of `family` over the `mask` lanes and checks
+/// every severity against the boxed detectors; at `cut` the kernel is
+/// cloned and the clone must track the oracle too.
+fn check_lanes(
+    family: &str,
+    mask: u16,
+    values: &[Option<f64>],
+    cut: usize,
+) -> Result<(), TestCaseError> {
+    let mut oracle = family_configs(family, mask);
+    let mut units = plan(family_configs(family, mask));
+    prop_assert_eq!(units.len(), 1, "{} lanes must fuse into one kernel", family);
+    let kernel = &mut units[0].kernel;
+    prop_assert_eq!(kernel.family(), family);
+    let k = kernel.n_configs();
+    prop_assert_eq!(k, oracle.len());
+    let mut row = vec![None; k];
+    let mut clone: Option<Box<dyn opprentice_repro::detectors::fused::FamilyKernel>> = None;
+    let mut clone_row = vec![None; k];
+    for (i, v) in values.iter().enumerate() {
+        if i == cut {
+            clone = Some(kernel.clone_box());
+        }
+        let ts = i as i64 * i64::from(INTERVAL);
+        kernel.observe(ts, *v, &mut row);
+        if let Some(c) = clone.as_mut() {
+            c.observe(ts, *v, &mut clone_row);
+        }
+        for (j, cfg) in oracle.iter_mut().enumerate() {
+            let expect = cfg.observe_clamped(ts, *v).map(f64::to_bits);
+            prop_assert_eq!(
+                row[j].map(f64::to_bits),
+                expect,
+                "{} diverged at point {} (mask {:#x})",
+                cfg.label(),
+                i,
+                mask
+            );
+            if clone.is_some() {
+                prop_assert_eq!(
+                    clone_row[j].map(f64::to_bits),
+                    expect,
+                    "clone of {} diverged at point {} (mask {:#x})",
+                    cfg.label(),
+                    i,
+                    mask
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A stream of noisy seasonal stretches interleaved with missing bursts,
+/// constant stretches (the power iteration converges and exits early),
+/// all-zero stretches, and stretches of magnitude ~1e-152 whose Gram
+/// products underflow the `norm < 1e-300` test (the degenerate-norm
+/// fallback, with a residual that depends on it).
+fn svd_stream_strategy() -> impl Strategy<Value = Vec<Option<f64>>> {
+    (any::<u64>(), 900usize..1600).prop_map(|(seed, len)| {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let run = 20 + (next() * 380.0) as usize;
+            let kind = next();
+            for i in 0..run {
+                out.push(if kind < 0.15 {
+                    None
+                } else if kind < 0.3 {
+                    Some(42.5)
+                } else if kind < 0.4 {
+                    Some(0.0)
+                } else if kind < 0.5 {
+                    Some(1e-152 * (1.0 + next()))
+                } else {
+                    let season = (i % 24) as f64 / 24.0 * std::f64::consts::TAU;
+                    Some(100.0 + 20.0 * season.sin() + 5.0 * next())
+                });
+            }
+        }
+        out.truncate(len);
+        out
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Any non-empty subset of the 15 SVD lanes, in registry order, fuses
+    /// into one lockstep kernel that matches the boxed detectors bit for
+    /// bit, and so does a clone taken mid-stream.
+    #[test]
+    fn fused_svd_subsets_match_scalar_detectors(
+        mask in 1u16..(1 << 15),
+        values in svd_stream_strategy(),
+        cut_frac in 0.05f64..0.95,
+    ) {
+        let cut = (values.len() as f64 * cut_frac) as usize;
+        check_lanes("SVD", mask, &values, cut)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Any non-empty subset of the 9 wavelet lanes fuses into one kernel
+    /// owning its filter banks, and matches the boxed band views (which
+    /// share a bank per window length) bit for bit — long enough for the
+    /// 7-day lanes to warm up and refresh their spread — and so does a
+    /// clone taken mid-stream.
+    #[test]
+    fn fused_wavelet_subsets_match_scalar_detectors(
+        mask in 1u16..(1 << 9),
+        values in series_strategy(),
+        extra in series_strategy(),
+        cut_frac in 0.05f64..0.95,
+    ) {
+        let values: Vec<Option<f64>> = values.into_iter().chain(extra).collect();
+        let cut = (values.len() as f64 * cut_frac) as usize;
+        check_lanes("wavelet", mask, &values, cut)?;
+    }
+}
+
+/// Deterministic edge cases for every single SVD lane and the full set:
+/// missing bursts straddling each lane's warm-up completion and its first
+/// Gram refreshes (present counts `cap`, `cap + 64`, `cap + 65`, …), a
+/// constant stretch, an all-zero stretch and a ~1e-152 stretch (the
+/// degenerate-norm fallback) longer than the widest window, then a
+/// restart.
+#[test]
+fn fused_svd_refresh_boundaries_and_degenerate_windows() {
+    let caps: Vec<usize> = family_configs("SVD", 0x7fff)
+        .iter()
+        .map(|c| match c.spec {
+            DetectorSpec::Svd { rows, cols } => rows * cols,
+            _ => unreachable!("filtered to SVD"),
+        })
+        .collect();
+    // Present values, with a missing burst inserted just before each
+    // boundary in present-count space.
+    let mut boundaries: Vec<usize> = caps
+        .iter()
+        .flat_map(|&cap| [cap - 1, cap, cap + 64, cap + 65, cap + 129, cap + 130])
+        .collect();
+    boundaries.sort_unstable();
+    boundaries.dedup();
+    let mut values: Vec<Option<f64>> = Vec::new();
+    let mut present = 0usize;
+    let mut push = |values: &mut Vec<Option<f64>>, v: f64| {
+        if boundaries.binary_search(&present).is_ok() {
+            values.extend(std::iter::repeat_n(None, 7));
+        }
+        values.push(Some(v));
+        present += 1;
+    };
+    for i in 0..600 {
+        let season = (i % 24) as f64 / 24.0 * std::f64::consts::TAU;
+        push(
+            &mut values,
+            100.0 + 20.0 * season.sin() + ((i * 37) % 11) as f64,
+        );
+    }
+    for _ in 0..420 {
+        push(&mut values, 7.25);
+    }
+    for _ in 0..420 {
+        push(&mut values, 0.0);
+    }
+    for i in 0..420 {
+        push(&mut values, 1e-152 * (1.0 + ((i * 7) % 13) as f64 / 13.0));
+    }
+    for i in 0..500 {
+        push(&mut values, 50.0 + ((i * 13) % 17) as f64);
+    }
+    let cut = values.len() / 2;
+    check_lanes("SVD", 0x7fff, &values, cut).unwrap();
+    for lane in 0..15 {
+        check_lanes("SVD", 1 << lane, &values, cut).unwrap();
     }
 }
