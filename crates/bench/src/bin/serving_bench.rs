@@ -24,6 +24,10 @@
 //!    is asynchronous, so the session keeps answering `OBS` on the old
 //!    model until the finished forest is swapped in between requests.
 //!
+//! It also records the resident-memory growth of one extractor on a
+//! 1-minute KPI (`extractor_memory`), the per-stream state a fleet of
+//! sessions would pay for.
+//!
 //! Results land in `results/BENCH_serving.json`. Modes: `--tiny` (CI
 //! smoke, seconds), default (laptop-sized), `--full` (paper-sized forest
 //! everywhere).
@@ -295,9 +299,53 @@ fn run_obsb(c: &mut Client, start_hour: usize, n: usize, batch: usize) -> Protoc
     }
 }
 
+/// Resident set size in bytes (`VmRSS` in `/proc/self/status`, reported
+/// in kB so no page-size assumption is needed); `None` off Linux.
+fn rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// Days of the 1-minute pv preset fed to the extractor whose memory is
+/// measured: more than a week, so every slot-of-week window is touched.
+const MEMORY_DAYS: usize = 8;
+
+/// Resident-memory growth of one 133-config extractor on a 1-minute KPI:
+/// build `OnlineExtractor::new(60)` and feed it [`MEMORY_DAYS`] of the pv
+/// preset. Runs before every other section, so the growth is not hidden
+/// by heap pages earlier sections freed. Returns `(points, bytes)`.
+fn extractor_memory() -> (usize, Option<u64>) {
+    let mut spec = opprentice_datagen::presets::pv();
+    spec.weeks = MEMORY_DAYS.div_ceil(7);
+    let kpi = spec.generate();
+    let points = MEMORY_DAYS * 1440;
+    let timestamps: Vec<i64> = kpi.series.iter().take(points).map(|(ts, _)| ts).collect();
+    let values: Vec<Option<f64>> = kpi.series.iter().take(points).map(|(_, v)| v).collect();
+    let before = rss_bytes();
+    let mut extractor = OnlineExtractor::new(60);
+    for (ts, vs) in timestamps.chunks(512).zip(values.chunks(512)) {
+        std::hint::black_box(extractor.observe_batch(ts, vs));
+    }
+    let after = rss_bytes();
+    drop(extractor);
+    (points, before.zip(after).map(|(b, a)| a.saturating_sub(b)))
+}
+
 fn main() {
     let sizes = Sizes::from_args();
     eprintln!("[serving_bench] mode={}", sizes.mode);
+
+    // ---- Extractor memory -----------------------------------------------
+    let (memory_points, memory_bytes) = extractor_memory();
+    match memory_bytes {
+        Some(b) => eprintln!(
+            "[memory] one 1-minute extractor after {memory_points} points: +{:.1} MB RSS",
+            b as f64 / 1e6
+        ),
+        None => eprintln!("[memory] RSS not available on this platform"),
+    }
 
     // ---- Microbench 1: online feature extraction ------------------------
     // Best of 3 passes each: the box this runs on shares a host, and a
@@ -603,6 +651,12 @@ fn main() {
     let json = format!(
         r#"{{
   "mode": "{mode}",
+  "extractor_memory": {{
+    "note": "resident-set growth after building OnlineExtractor::new(60) and feeding it {memory_days} days of the 1-minute pv preset (null where /proc is unavailable)",
+    "interval_s": 60,
+    "points": {memory_points},
+    "rss_growth_bytes": {memory_bytes}
+  }},
   "inference_microbench": {{
     "n_trees": {micro_trees},
     "n_features": 133,
@@ -672,6 +726,8 @@ fn main() {
 }}
 "#,
         mode = sizes.mode,
+        memory_days = MEMORY_DAYS,
+        memory_bytes = memory_bytes.map_or("null".to_string(), |b| b.to_string()),
         extract_batch = EXTRACT_BATCH,
         extract_passes = EXTRACT_PASSES,
         family_json = family_table

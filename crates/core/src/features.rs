@@ -411,7 +411,8 @@ pub struct OnlineExtractor {
     scratch: Vec<Option<f64>>,
     /// Batched output, row-major (`batch_len × n_features`).
     batch: Vec<Option<f64>>,
-    /// Lazily spawned on the first parallel batch.
+    /// Lazily spawned on the first parallel batch, one worker per shard
+    /// but the first (the caller runs that one).
     pool: Option<WorkerPool>,
     points_since_rebalance: u64,
 }
@@ -588,7 +589,8 @@ impl OnlineExtractor {
     /// Feeds a run of consecutive points to every detector, returning the
     /// severity rows row-major (`values.len() × n_features`). Severities
     /// are bit-identical to calling [`OnlineExtractor::observe`] per point;
-    /// the shards just advance concurrently on the worker pool.
+    /// the shards just advance concurrently, the first on the calling
+    /// thread and the rest on the worker pool.
     ///
     /// # Panics
     ///
@@ -608,8 +610,9 @@ impl OnlineExtractor {
                 shard.run(timestamps, values);
             }
         } else {
+            // The caller runs shard 0 itself; the pool takes the rest.
             let pool = {
-                let n_workers = self.shards.len();
+                let n_workers = self.shards.len() - 1;
                 self.pool
                     .get_or_insert_with(|| WorkerPool::spawn(n_workers))
             };
@@ -617,8 +620,8 @@ impl OnlineExtractor {
                 timestamps: timestamps.to_vec(),
                 values: values.to_vec(),
             });
-            let n_jobs = self.shards.len();
-            for shard in self.shards.drain(..) {
+            let n_jobs = self.shards.len() - 1;
+            for shard in self.shards.drain(1..) {
                 pool.job_tx
                     .send(Job {
                         shard,
@@ -626,14 +629,24 @@ impl OnlineExtractor {
                     })
                     .expect("extraction pool is gone");
             }
+            let inline = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                self.shards[0].run(timestamps, values)
+            }));
             // Shards come back in completion order; output assembly goes
-            // through each unit's columns, so order cannot matter.
+            // through each unit's columns, so order cannot matter. Every
+            // job is collected before a panic propagates, so no stale
+            // result is left in the channel.
+            let mut worker_panicked = false;
             for _ in 0..n_jobs {
                 match pool.done_rx.recv().expect("extraction worker died") {
                     Done::Ok(shard) => self.shards.push(shard),
-                    Done::Panicked => panic!("extraction worker panicked"),
+                    Done::Panicked => worker_panicked = true,
                 }
             }
+            if let Err(payload) = inline {
+                std::panic::resume_unwind(payload);
+            }
+            assert!(!worker_panicked, "extraction worker panicked");
         }
 
         let batch = &mut self.batch;

@@ -3,8 +3,8 @@
 //!
 //! The paper's registry (Table 3) is a grid of parameters per family —
 //! 64 Holt–Winters configs share one warm-up buffer and seasonal position,
-//! the 10 TSD/TSD MAD configs with the same window length share the exact
-//! same per-slot history, the 15 MA/diff/EWMA lanes share one value ring.
+//! the 10 TSD/TSD MAD configs read every window length as a suffix of one
+//! per-slot history, the 15 MA/diff/EWMA lanes share one value ring.
 //! Running each config as an independent [`Detector`] re-maintains all of
 //! that shared state per config and leaves the per-point arithmetic as 133
 //! scattered virtual calls. A [`FamilyKernel`] instead keeps the per-config
@@ -42,7 +42,7 @@ use crate::registry::{ConfiguredDetector, DetectorSpec};
 use crate::svd::FusedSvd;
 use crate::wavelet::{Band, FusedWavelet};
 use crate::MAX_SEVERITY;
-use opprentice_numeric::rolling::SortedWindow;
+use opprentice_numeric::rolling::{mad_of_sorted, median_of_sorted, SlotRings, SortedWindow};
 use opprentice_timeseries::{slot_of_day, slot_of_week};
 use std::collections::VecDeque;
 
@@ -565,33 +565,63 @@ impl FamilyKernel for FusedEwma {
 // TSD / TSD MAD
 // --------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct TsdLane {
-    /// Index of the shared per-slot window set for this lane's `weeks`.
-    widx: usize,
-    robust: bool,
-    residuals: SortedWindow,
-    spread: f64,
-    since_refresh: usize,
-}
-
-/// Fused TSD/TSD MAD lanes. Lanes with the same window length (`weeks`)
-/// read the *same* per-slot-of-week history — their scalar counterparts
-/// keep identical private copies (the window never stores residuals, only
-/// raw values) — so the plain and MAD variants of one window length share
-/// one `SortedWindow` per slot. Residual windows and spread state differ
-/// per lane (baselines differ) and stay private.
+/// Fused TSD/TSD MAD lanes.
+///
+/// *Seasonal history.* Every scalar lane keeps, per slot of the week, the
+/// values seen at that slot over its last `weeks` weeks. All lanes push the
+/// same value into the same slot on the same points and evict oldest-first,
+/// so a lane's window is the newest `weeks` values of the longest one: one
+/// [`SlotRings`] of the longest window serves every lane as a suffix.
+///
+/// *Residual spread.* Every lane pushes a residual on exactly the same
+/// points — "this slot's history is non-empty" does not depend on the
+/// window length — and refreshes its spread on exactly the same points
+/// (the first residual, then every [`crate::tsd::SPREAD_REFRESH`]th), so
+/// one residual count and one refresh counter serve the kernel. The plain
+/// lanes' residuals share one time-major, lane-minor ring, swept once per
+/// refresh with one accumulator per lane (each lane's summation order is
+/// its scalar ring order); the MAD lanes keep a [`SortedWindow`] each.
 #[derive(Debug, Clone)]
 pub struct FusedTsd {
     interval: u32,
-    /// Points per week.
-    ppw: usize,
-    /// Number of distinct window lengths.
-    n_windows: usize,
-    /// `n_windows × ppw` shared histories, window-major.
-    per_slot: Vec<SortedWindow>,
-    lanes: Vec<TsdLane>,
+    /// Per-slot-of-week values, one ring of the longest window per slot.
+    history: SlotRings,
+    /// Window length (weeks) of each lane.
+    weeks: Vec<usize>,
+    robust: Vec<bool>,
+    /// Lane index of each plain lane, in lane order.
+    plain: Vec<usize>,
+    /// The plain lanes' residuals: `RESIDUAL_WINDOW` rows of `stride`
+    /// values (the plain lanes, zero-padded to a whole number of sweep
+    /// groups), row `t` written by the `t`-th residual push (mod the
+    /// window).
+    plain_residuals: Vec<f64>,
+    stride: usize,
+    /// Lane index and residual window of each MAD lane.
+    robust_residuals: Vec<(usize, SortedWindow)>,
+    /// Next row of `plain_residuals` and the residual count (capped at the
+    /// window), shared by every lane.
+    residual_head: usize,
+    residual_len: usize,
+    /// Residual pushes since the last spread refresh; starts one short of
+    /// the cadence so the first push refreshes, as the scalar detector's
+    /// `spread == 0` check does.
+    since_refresh: usize,
+    spread: Vec<f64>,
+    /// Per-lane scratch: this point's residual.
+    residual: Vec<f64>,
+    /// Longest MAD lane window (0 without MAD lanes).
+    robust_reach: usize,
+    /// The slot's newest values, sorted, and the median after each
+    /// insertion (MAD baselines by window fill).
+    sort_buf: Vec<f64>,
+    medians: Vec<f64>,
 }
+
+/// Plain TSD lanes one refresh sweep accumulates side by side: independent
+/// per-lane chains that keep the adder busy (and fill SIMD registers),
+/// each still summing its own residuals in arrival order.
+const SWEEP_LANES: usize = 8;
 
 impl FusedTsd {
     /// Creates lanes for the given `(weeks, robust)` configurations.
@@ -601,38 +631,97 @@ impl FusedTsd {
     /// Panics if `configs` is empty or a `weeks` is 0.
     pub fn new(configs: &[(usize, bool)], interval: u32) -> Self {
         assert!(!configs.is_empty(), "no configs");
+        assert!(
+            configs.iter().all(|&(w, _)| w > 0),
+            "weeks must be positive"
+        );
         let ppw = (7 * 86_400 / i64::from(interval)) as usize;
-        let mut distinct: Vec<usize> = Vec::new();
-        let lanes = configs
-            .iter()
-            .map(|&(weeks, robust)| {
-                assert!(weeks > 0, "weeks must be positive");
-                let widx = match distinct.iter().position(|&w| w == weeks) {
-                    Some(i) => i,
-                    None => {
-                        distinct.push(weeks);
-                        distinct.len() - 1
-                    }
-                };
-                TsdLane {
-                    widx,
-                    robust,
-                    residuals: SortedWindow::new(crate::tsd::RESIDUAL_WINDOW),
-                    spread: 0.0,
-                    since_refresh: 0,
-                }
-            })
-            .collect();
-        let per_slot = distinct
-            .iter()
-            .flat_map(|&weeks| std::iter::repeat_with(move || SortedWindow::new(weeks)).take(ppw))
+        let longest = configs.iter().map(|c| c.0).max().expect("non-empty");
+        let plain: Vec<usize> = (0..configs.len()).filter(|&c| !configs[c].1).collect();
+        let stride = plain.len().next_multiple_of(SWEEP_LANES);
+        let robust_residuals = (0..configs.len())
+            .filter(|&c| configs[c].1)
+            .map(|c| (c, SortedWindow::new(crate::tsd::RESIDUAL_WINDOW)))
             .collect();
         Self {
             interval,
-            ppw,
-            n_windows: distinct.len(),
-            per_slot,
-            lanes,
+            history: SlotRings::new(ppw, longest),
+            weeks: configs.iter().map(|c| c.0).collect(),
+            robust: configs.iter().map(|c| c.1).collect(),
+            plain,
+            plain_residuals: vec![0.0; crate::tsd::RESIDUAL_WINDOW * stride],
+            stride,
+            robust_residuals,
+            residual_head: 0,
+            residual_len: 0,
+            since_refresh: crate::tsd::SPREAD_REFRESH - 1,
+            spread: vec![0.0; configs.len()],
+            residual: vec![0.0; configs.len()],
+            robust_reach: configs
+                .iter()
+                .filter(|c| c.1)
+                .map(|c| c.0)
+                .max()
+                .unwrap_or(0),
+            sort_buf: Vec::with_capacity(longest),
+            medians: Vec::with_capacity(longest),
+        }
+    }
+
+    /// Recomputes every lane's spread from its residual window: the
+    /// scalar `refresh_spread`, with the plain lanes' standard deviation
+    /// (mean pass, then variance pass) and magnitude swept over the shared
+    /// ring [`SWEEP_LANES`] lanes at a time.
+    fn refresh_spreads(&mut self) {
+        let (np, stride, len) = (self.plain.len(), self.stride, self.residual_len);
+        // Arrival order: the oldest row is `residual_head` once the ring
+        // has wrapped.
+        let rows = &self.plain_residuals;
+        let (older, newer) = if len < crate::tsd::RESIDUAL_WINDOW {
+            (&rows[..len * stride], &rows[..0])
+        } else {
+            let (newer, older) = rows.split_at(self.residual_head * stride);
+            (older, newer)
+        };
+        // Seed with the additive identity `Iterator::sum` folds from, so
+        // each lane's sum is its scalar `sum()` bit for bit.
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        for g in (0..np).step_by(SWEEP_LANES) {
+            let lanes = |row: &[f64]| -> [f64; SWEEP_LANES] {
+                row[g..g + SWEEP_LANES].try_into().expect("padded row")
+            };
+            let mut sum = [zero; SWEEP_LANES];
+            for part in [older, newer] {
+                for row in part.chunks_exact(stride) {
+                    let x = lanes(row);
+                    for j in 0..SWEEP_LANES {
+                        sum[j] += x[j];
+                    }
+                }
+            }
+            let mean = sum.map(|s| s / len as f64);
+            let mut sq = [zero; SWEEP_LANES];
+            let mut max_abs = [0.0f64; SWEEP_LANES];
+            for part in [older, newer] {
+                for row in part.chunks_exact(stride) {
+                    let x = lanes(row);
+                    for j in 0..SWEEP_LANES {
+                        let d = x[j] - mean[j];
+                        sq[j] += d * d;
+                        let a = x[j].abs();
+                        max_abs[j] = if a > max_abs[j] { a } else { max_abs[j] };
+                    }
+                }
+            }
+            for (j, &c) in self.plain[g..].iter().take(SWEEP_LANES).enumerate() {
+                let raw = (sq[j] / len as f64).sqrt();
+                self.spread[c] = raw.max(1e-9 * (1.0 + max_abs[j]));
+            }
+        }
+        for (c, window) in &mut self.robust_residuals {
+            let raw = window.mad().unwrap_or(0.0);
+            let scale = window.max_abs();
+            self.spread[*c] = raw.max(1e-9 * (1.0 + scale));
         }
     }
 
@@ -655,53 +744,74 @@ impl FusedTsd {
 
 impl FamilyKernel for FusedTsd {
     fn n_configs(&self) -> usize {
-        self.lanes.len()
+        self.weeks.len()
     }
 
     fn observe(&mut self, timestamp: i64, value: Option<f64>, out: &mut [Option<f64>]) {
-        assert_eq!(out.len(), self.lanes.len(), "output width mismatch");
+        assert_eq!(out.len(), self.weeks.len(), "output width mismatch");
         let slot = slot_of_week(timestamp, self.interval);
         let Some(v) = value else {
             out.fill(None);
             return;
         };
-        let ppw = self.ppw;
-        for (lane, slot_out) in self.lanes.iter_mut().zip(out.iter_mut()) {
-            let history = &mut self.per_slot[lane.widx * ppw + slot];
-            *slot_out = if !history.is_empty() {
-                let baseline = if lane.robust {
-                    history.median().expect("non-empty history")
-                } else {
-                    history.mean().expect("non-empty history")
-                };
-                let residual = v - baseline;
-                lane.residuals.push(residual);
-                lane.since_refresh += 1;
-                if lane.spread == 0.0 || lane.since_refresh >= crate::tsd::SPREAD_REFRESH {
-                    let raw = if lane.robust {
-                        lane.residuals.mad().unwrap_or(0.0)
-                    } else {
-                        lane.residuals.std_dev().unwrap_or(0.0)
-                    };
-                    let scale = lane.residuals.max_abs();
-                    lane.spread = raw.max(1e-9 * (1.0 + scale));
-                    lane.since_refresh = 0;
-                }
-                if lane.residuals.len() >= crate::tsd::MIN_RESIDUALS {
-                    clamp(residual.abs() / lane.spread)
-                } else {
-                    None
-                }
+        if self.history.len(slot) == 0 {
+            out.fill(None);
+            self.history.push(slot, v);
+            return;
+        }
+        // MAD baselines: insert the slot's values newest first into one
+        // sorted buffer; after `j` insertions it holds the window of every
+        // MAD lane that sees `j` values, so `medians[j - 1]` is their
+        // baseline.
+        if self.robust_reach > 0 {
+            let (a, b) = self.history.suffix(slot, self.robust_reach);
+            self.sort_buf.clear();
+            self.medians.clear();
+            for &x in a.iter().chain(b).rev() {
+                let at = self.sort_buf.partition_point(|&y| y < x);
+                self.sort_buf.insert(at, x);
+                self.medians
+                    .push(median_of_sorted(&self.sort_buf).expect("non-empty"));
+            }
+        }
+        let held = self.history.len(slot);
+        for c in 0..self.weeks.len() {
+            let baseline = if self.robust[c] {
+                self.medians[held.min(self.weeks[c]) - 1]
             } else {
-                None
+                self.history
+                    .mean(slot, self.weeks[c])
+                    .expect("non-empty history")
             };
+            self.residual[c] = v - baseline;
         }
-        // Push into each shared history only after every lane read it —
-        // each scalar detector also pushes into its own (identical)
-        // history after computing its severity.
-        for w in 0..self.n_windows {
-            self.per_slot[w * ppw + slot].push(v);
+
+        let at = self.residual_head * self.stride;
+        let row = &mut self.plain_residuals[at..at + self.stride];
+        for (x, &c) in row.iter_mut().zip(&self.plain) {
+            *x = self.residual[c];
         }
+        for (c, window) in &mut self.robust_residuals {
+            window.push(self.residual[*c]);
+        }
+        self.residual_head = (self.residual_head + 1) % crate::tsd::RESIDUAL_WINDOW;
+        self.residual_len = (self.residual_len + 1).min(crate::tsd::RESIDUAL_WINDOW);
+        self.since_refresh += 1;
+        if self.since_refresh >= crate::tsd::SPREAD_REFRESH {
+            self.refresh_spreads();
+            self.since_refresh = 0;
+        }
+
+        if self.residual_len >= crate::tsd::MIN_RESIDUALS {
+            for ((slot_out, &r), &spread) in out.iter_mut().zip(&self.residual).zip(&self.spread) {
+                *slot_out = clamp(r.abs() / spread);
+            }
+        } else {
+            out.fill(None);
+        }
+        // The history takes the value only after every lane read it, as
+        // each scalar detector pushes after computing its severity.
+        self.history.push(slot, v);
     }
 
     fn clone_box(&self) -> Box<dyn FamilyKernel> {
@@ -709,7 +819,7 @@ impl FamilyKernel for FusedTsd {
     }
 
     fn family(&self) -> &'static str {
-        Self::mixed_name(self.lanes.iter().map(|l| l.robust))
+        Self::mixed_name(self.robust.iter().copied())
     }
 }
 
@@ -717,24 +827,19 @@ impl FamilyKernel for FusedTsd {
 // Historical average / historical MAD
 // --------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct HistLane {
-    widx: usize,
-    robust: bool,
-}
-
-/// Fused historical average/MAD lanes: same sharing structure as
-/// [`FusedTsd`], but slotted by time-of-day with `7 * weeks` samples per
-/// slot, and entirely stateless outside the shared windows.
+/// Fused historical average/MAD lanes, slotted by time of day with
+/// `7 * weeks` samples per slot and stateless outside the history. As in
+/// [`FusedTsd`], every lane's window is a suffix of one [`SlotRings`] ring
+/// of the longest window; the MAD lanes read median and MAD off a sorted
+/// copy of their suffix, kept per distinct MAD window length.
 #[derive(Debug, Clone)]
 pub struct FusedHistorical {
     interval: u32,
-    /// Points per day.
-    ppd: usize,
-    n_windows: usize,
-    /// `n_windows × ppd` shared histories, window-major.
-    per_slot: Vec<SortedWindow>,
-    lanes: Vec<HistLane>,
+    /// Per-slot-of-day values, one ring of the longest window per slot.
+    history: SlotRings,
+    /// Window length (`7 * weeks` samples) of each lane.
+    wins: Vec<usize>,
+    robust: Vec<bool>,
 }
 
 impl FusedHistorical {
@@ -745,64 +850,51 @@ impl FusedHistorical {
     /// Panics if `configs` is empty or a `weeks` is 0.
     pub fn new(configs: &[(usize, bool)], interval: u32) -> Self {
         assert!(!configs.is_empty(), "no configs");
+        assert!(
+            configs.iter().all(|&(w, _)| w > 0),
+            "weeks must be positive"
+        );
         let ppd = (86_400 / i64::from(interval)) as usize;
-        let mut distinct: Vec<usize> = Vec::new();
-        let lanes = configs
+        let wins: Vec<usize> = configs.iter().map(|&(w, _)| 7 * w).collect();
+        let longest = wins.iter().copied().max().expect("non-empty");
+        let sorted_lens: Vec<usize> = configs
             .iter()
-            .map(|&(weeks, robust)| {
-                assert!(weeks > 0, "weeks must be positive");
-                let widx = match distinct.iter().position(|&w| w == weeks) {
-                    Some(i) => i,
-                    None => {
-                        distinct.push(weeks);
-                        distinct.len() - 1
-                    }
-                };
-                HistLane { widx, robust }
-            })
-            .collect();
-        let per_slot = distinct
-            .iter()
-            .flat_map(|&weeks| {
-                std::iter::repeat_with(move || SortedWindow::new(7 * weeks)).take(ppd)
-            })
+            .zip(&wins)
+            .filter(|((_, robust), _)| *robust)
+            .map(|(_, &k)| k)
             .collect();
         Self {
             interval,
-            ppd,
-            n_windows: distinct.len(),
-            per_slot,
-            lanes,
+            history: SlotRings::with_sorted(ppd, longest, &sorted_lens),
+            wins,
+            robust: configs.iter().map(|c| c.1).collect(),
         }
     }
 }
 
 impl FamilyKernel for FusedHistorical {
     fn n_configs(&self) -> usize {
-        self.lanes.len()
+        self.wins.len()
     }
 
     fn observe(&mut self, timestamp: i64, value: Option<f64>, out: &mut [Option<f64>]) {
-        assert_eq!(out.len(), self.lanes.len(), "output width mismatch");
+        assert_eq!(out.len(), self.wins.len(), "output width mismatch");
         let slot = slot_of_day(timestamp, self.interval);
         let Some(v) = value else {
             out.fill(None);
             return;
         };
-        let ppd = self.ppd;
-        for (lane, slot_out) in self.lanes.iter().zip(out.iter_mut()) {
-            let history = &mut self.per_slot[lane.widx * ppd + slot];
-            *slot_out = if history.len() >= crate::historical::MIN_HISTORY {
-                let (center, spread_raw) = if lane.robust {
+        let held = self.history.len(slot);
+        for ((slot_out, &k), &robust) in out.iter_mut().zip(&self.wins).zip(&self.robust) {
+            *slot_out = if held.min(k) >= crate::historical::MIN_HISTORY {
+                let (center, spread_raw) = if robust {
+                    let sorted = self.history.sorted(slot, k);
                     (
-                        history.median().expect("non-empty"),
-                        history.mad().unwrap_or(0.0),
+                        median_of_sorted(sorted).expect("non-empty"),
+                        mad_of_sorted(sorted).unwrap_or(0.0),
                     )
                 } else {
-                    (
-                        history.mean().expect("non-empty"),
-                        history.std_dev().unwrap_or(0.0),
-                    )
+                    self.history.mean_std_dev(slot, k).expect("non-empty")
                 };
                 let spread = spread_raw.max(1e-9 * (1.0 + center.abs()));
                 clamp((v - center).abs() / spread)
@@ -810,9 +902,7 @@ impl FamilyKernel for FusedHistorical {
                 None
             };
         }
-        for w in 0..self.n_windows {
-            self.per_slot[w * ppd + slot].push(v);
-        }
+        self.history.push(slot, v);
     }
 
     fn clone_box(&self) -> Box<dyn FamilyKernel> {
@@ -821,8 +911,8 @@ impl FamilyKernel for FusedHistorical {
 
     fn family(&self) -> &'static str {
         let (mut any_plain, mut any_robust) = (false, false);
-        for l in &self.lanes {
-            if l.robust {
+        for &r in &self.robust {
+            if r {
                 any_robust = true;
             } else {
                 any_plain = true;
@@ -1072,6 +1162,13 @@ fn fuse_key(spec: &DetectorSpec) -> Option<FuseKey> {
 ///   not depend on the sampling interval; ARIMA's does (about 2.2 µs/pt
 ///   on an hourly KPI), so there it starts under-weighted until live
 ///   timings replace the seed.
+/// * TSD/TSD MAD and historical average/MAD: their fused kernel on the
+///   same 1-minute stream, divided by the lane count, split between the
+///   plain and MAD lanes by the cost of each variant's kernel alone, and
+///   scaled to the SVD seed by the SVD kernel's cost in the same runs
+///   (the host's speed drifts between runs). At 1 minute their
+///   per-slot state spans a day or a week of points, so they cost more
+///   there than on an hourly KPI.
 /// * Everything else: the per-family scalar breakdown in
 ///   `results/BENCH_serving.json` (hourly KPI).
 fn seed_cost_ns(cfg: &ConfiguredDetector) -> f64 {
@@ -1084,16 +1181,16 @@ fn seed_cost_ns(cfg: &ConfiguredDetector) -> f64 {
         DetectorSpec::Ewma { .. } => 9.0,
         DetectorSpec::Tsd { robust, .. } => {
             if robust {
-                94.0
+                86.0
             } else {
-                107.0
+                33.0
             }
         }
         DetectorSpec::Historical { robust, .. } => {
             if robust {
-                87.0
+                64.0
             } else {
-                63.0
+                24.0
             }
         }
         DetectorSpec::HoltWinters { .. } => 7.5,

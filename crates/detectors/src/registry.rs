@@ -171,7 +171,16 @@ pub const CONFIG_COUNT: usize = 133;
 
 /// Builds the full Table 3 registry for a KPI sampled at `interval`
 /// seconds. Order is deterministic; indices are stable across calls.
+///
+/// # Panics
+///
+/// Panics if `interval` does not divide a day or leaves fewer than two
+/// points per day ([`opprentice_timeseries::is_supported_interval`]).
 pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
+    assert!(
+        opprentice_timeseries::is_supported_interval(interval),
+        "unsupported interval {interval} s: it must divide 86400 and leave at least 2 points per day"
+    );
     // (group, spec, detector); each independent detector is its own group,
     // the three band views of one wavelet filter bank share a group.
     type Entry = (usize, DetectorSpec, Box<dyn Detector>);

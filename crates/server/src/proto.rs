@@ -125,8 +125,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .ok_or("HELLO needs an interval")?
                 .parse()
                 .map_err(|_| "bad interval")?;
-            if interval == 0 || interval > 7 * 86_400 {
-                return Err("interval out of range".to_string());
+            // The detectors index per-slot state by time of day and week,
+            // which only works when the interval tiles the day.
+            if !opprentice_timeseries::is_supported_interval(interval) {
+                return Err(
+                    "interval must divide 86400 and leave at least 2 points per day".to_string(),
+                );
             }
             let session = match parts.next() {
                 Some(id) => {
@@ -310,6 +314,26 @@ mod tests {
         }
         for good in ["a", "A-1", "web_pv", &"x".repeat(64)] {
             assert!(validate_session_id(good).is_ok(), "{good:?} rejected");
+        }
+    }
+
+    #[test]
+    fn hello_accepts_only_intervals_that_tile_the_day() {
+        for ok in [1u32, 60, 300, 3600, 43_200] {
+            assert_eq!(
+                parse_request(&format!("HELLO {ok}")),
+                Ok(Request::Hello {
+                    interval: ok,
+                    session: None
+                }),
+                "HELLO {ok}"
+            );
+        }
+        // 7 and 61 do not divide a day (the last slot of the day would
+        // overrun per-slot state); 86400 and up leave one point per day.
+        for bad in [0u32, 7, 61, 86_400, 604_800] {
+            let err = parse_request(&format!("HELLO {bad}")).unwrap_err();
+            assert!(err.contains("86400"), "HELLO {bad}: {err}");
         }
     }
 

@@ -1085,6 +1085,27 @@ mod tests {
         join.join().unwrap();
     }
 
+    /// An interval that does not tile the day is refused at `HELLO` (the
+    /// per-slot detector state could not hold the day's last slot); the
+    /// connection stays usable for a valid `HELLO`.
+    #[test]
+    fn hello_with_an_interval_that_does_not_tile_the_day_is_rejected() {
+        let (handle, join) = start_server(test_config());
+        let mut c = Client::connect(handle.addr());
+        let reply = c.send("HELLO 7");
+        assert!(
+            reply.starts_with("ERR") && reply.contains("86400"),
+            "{reply}"
+        );
+        assert!(c.send("HELLO 86400").starts_with("ERR"));
+        assert!(c.send("HELLO 60").starts_with("OK"));
+        // The day's last slot observes fine at a supported interval.
+        assert!(c.send("OBS 86340 1.0").starts_with("OK"));
+        assert_eq!(c.send("QUIT"), "BYE");
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
     #[test]
     fn preference_must_precede_hello() {
         let (handle, join) = start_server(test_config());

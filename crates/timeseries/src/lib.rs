@@ -41,5 +41,6 @@ pub mod stats;
 
 pub use labels::{AnomalyWindow, Labels};
 pub use series::{
-    slot_of_day, slot_of_week, TimeSeries, TimeSeriesIter, SECONDS_PER_DAY, SECONDS_PER_WEEK,
+    is_supported_interval, slot_of_day, slot_of_week, TimeSeries, TimeSeriesIter, SECONDS_PER_DAY,
+    SECONDS_PER_WEEK,
 };

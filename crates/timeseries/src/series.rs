@@ -233,6 +233,21 @@ pub fn slot_of_day(ts: i64, interval: u32) -> usize {
     (ts.rem_euclid(SECONDS_PER_DAY) / i64::from(interval)) as usize
 }
 
+/// Whether the detectors can run at `interval` seconds: it must divide a
+/// day exactly and leave at least two points per day.
+///
+/// The seasonal detectors size their per-slot state from the points per
+/// day (or week) and index it with [`slot_of_day`] / [`slot_of_week`];
+/// those slots stay below the state's length only when the interval tiles
+/// the day exactly (at 7 s, `86_400 / 7` truncates to 12,342 while
+/// `slot_of_day` reaches 12,342). Holt–Winters needs a season of at least
+/// two points.
+pub fn is_supported_interval(interval: u32) -> bool {
+    interval > 0
+        && SECONDS_PER_DAY % i64::from(interval) == 0
+        && SECONDS_PER_DAY / i64::from(interval) >= 2
+}
+
 /// Slot of the week (0-based) for epoch second `ts` at a given interval.
 /// Used by detectors with weekly seasonal memory (TSD, TSD MAD).
 pub fn slot_of_week(ts: i64, interval: u32) -> usize {

@@ -14,7 +14,11 @@
 //!   pruned subset of its 15 lanes, across missing bursts at Gram-refresh
 //!   boundaries, converged (constant) and degenerate (all-zero) windows,
 //!   and mid-stream clones; the wavelet kernel likewise on every subset
-//!   of its 9 lanes.
+//!   of its 9 lanes;
+//! - the TSD and historical average/MAD kernels (every window a suffix of
+//!   one per-slot ring) match on every subset of their 10 lanes over
+//!   multi-week streams whose slot windows fill, evict, skip a week and
+//!   sit out missing bursts longer than a day.
 //!
 //! The oracle is always the raw scalar registry driven point-by-point
 //! through `observe_clamped` — *not* the extraction engine, so the two
@@ -243,12 +247,18 @@ fn non_finite_inputs_normalize_to_missing_and_stay_lockstep() {
     }
 }
 
-/// The registry's configurations of detector `family` whose bit is set in
-/// `mask` (bit `i` = the family's `i`-th configuration, registry order).
+/// The registry's configurations of the detector families named in
+/// `family` (`/`-separated, e.g. `"TSD/TSD MAD"`) whose bit is set in
+/// `mask` (bit `i` = the families' `i`-th configuration, registry order).
 fn family_configs(family: &str, mask: u16) -> Vec<ConfiguredDetector> {
+    let names: Vec<&str> = match family {
+        "TSD/TSD MAD" => vec!["TSD", "TSD MAD"],
+        "historical average/MAD" => vec!["historical average", "historical MAD"],
+        f => vec![f],
+    };
     registry(INTERVAL)
         .into_iter()
-        .filter(|c| c.detector.name() == family)
+        .filter(|c| names.contains(&c.detector.name()))
         .enumerate()
         .filter(|(i, _)| mask >> i & 1 == 1)
         .map(|(_, c)| c)
@@ -268,7 +278,12 @@ fn check_lanes(
     let mut units = plan(family_configs(family, mask));
     prop_assert_eq!(units.len(), 1, "{} lanes must fuse into one kernel", family);
     let kernel = &mut units[0].kernel;
-    prop_assert_eq!(kernel.family(), family);
+    // A kernel fusing one variant of a combined family reports that
+    // variant's name.
+    let mut names: Vec<&str> = oracle.iter().map(|c| c.detector.name()).collect();
+    names.dedup();
+    let expect_family = if names.len() == 1 { names[0] } else { family };
+    prop_assert_eq!(kernel.family(), expect_family);
     let k = kernel.n_configs();
     prop_assert_eq!(k, oracle.len());
     let mut row = vec![None; k];
@@ -439,5 +454,118 @@ fn fused_svd_refresh_boundaries_and_degenerate_windows() {
     check_lanes("SVD", 0x7fff, &values, cut).unwrap();
     for lane in 0..15 {
         check_lanes("SVD", 1 << lane, &values, cut).unwrap();
+    }
+}
+
+/// An hourly KPI of `len` points (at 6 weeks and up, long enough for
+/// every TSD window to fill and evict, and for the 35-sample historical
+/// windows to evict):
+/// daily and weekly shape, missing points, missing bursts longer than a
+/// day, and hour `hole_hour` absent for all of week `hole_week` (so that
+/// slot's history skips a week). `kind` 0 is continuous, 1 quantized
+/// (duplicate-heavy histories), 2 a mix of `0.0`, `-0.0` and small
+/// integers.
+fn seasonal_stream(
+    seed: u64,
+    len: usize,
+    kind: u8,
+    hole_hour: usize,
+    hole_week: usize,
+) -> Vec<Option<f64>> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut burst_left = 0usize;
+    (0..len)
+        .map(|i| {
+            let (hour, day) = (i % 24, i / 24);
+            if hour == hole_hour && day / 7 == hole_week {
+                return None;
+            }
+            if burst_left > 0 {
+                burst_left -= 1;
+                return None;
+            }
+            let r = next();
+            if r < 0.004 {
+                burst_left = 25 + (next() * 40.0) as usize;
+                return None;
+            }
+            if r < 0.03 {
+                return None;
+            }
+            let season = (hour as f64 / 24.0 * std::f64::consts::TAU).sin();
+            let weekday = if day % 7 >= 5 { -15.0 } else { 0.0 };
+            let spike = if next() < 0.01 { 200.0 } else { 0.0 };
+            let v = 100.0 + 30.0 * season + weekday + 5.0 * next() + spike;
+            Some(match kind {
+                0 => v,
+                1 => (v / 10.0).round() * 10.0,
+                _ => [0.0, -0.0, 1.0, -2.0, -0.0, 0.0, 3.0][(next() * 7.0) as usize % 7],
+            })
+        })
+        .collect()
+}
+
+fn seasonal_stream_strategy() -> impl Strategy<Value = Vec<Option<f64>>> {
+    (
+        any::<u64>(),
+        (24usize * 7 * 6)..(24 * 7 * 8), // 6..8 weeks hourly
+        0u8..3,
+        0usize..24,
+        0usize..6,
+    )
+        .prop_map(|(seed, len, kind, hole_hour, hole_week)| {
+            seasonal_stream(seed, len, kind, hole_hour, hole_week)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Any non-empty subset of the 10 TSD/TSD MAD lanes, over streams
+    /// long enough for every slot window to fill and evict, matches the
+    /// boxed detectors bit for bit, and so does a clone taken mid-stream.
+    #[test]
+    fn fused_tsd_subsets_match_scalar_detectors(
+        mask in 1u16..(1 << 10),
+        values in seasonal_stream_strategy(),
+        cut_frac in 0.05f64..0.95,
+    ) {
+        let cut = (values.len() as f64 * cut_frac) as usize;
+        check_lanes("TSD/TSD MAD", mask, &values, cut)?;
+    }
+
+    /// Likewise for any subset of the 10 historical average/MAD lanes.
+    #[test]
+    fn fused_historical_subsets_match_scalar_detectors(
+        mask in 1u16..(1 << 10),
+        values in seasonal_stream_strategy(),
+        cut_frac in 0.05f64..0.95,
+    ) {
+        let cut = (values.len() as f64 * cut_frac) as usize;
+        check_lanes("historical average/MAD", mask, &values, cut)?;
+    }
+}
+
+/// The seasonal kernels on the lane masks that exercise each layout on
+/// its own — only MAD lanes, only plain lanes, one window length in both
+/// variants, one lane, all ten — over 20-week streams of each value kind
+/// (long enough for the 2016-residual TSD spread windows to wrap too).
+#[test]
+fn seasonal_kernels_match_on_structured_masks() {
+    let masks = [0x3e0u16, 0x01f, 1 << 2 | 1 << 7, 1 << 4, 1 << 9, 0x3ff];
+    for kind in 0..3u8 {
+        let values = seasonal_stream(0x5eed + u64::from(kind), 24 * 7 * 20, kind, 13, 3);
+        let cut = values.len() * 2 / 3;
+        for family in ["TSD/TSD MAD", "historical average/MAD"] {
+            for mask in masks {
+                check_lanes(family, mask, &values, cut).unwrap();
+            }
+        }
     }
 }
