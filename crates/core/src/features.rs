@@ -89,7 +89,8 @@ impl FeatureMatrix {
         &self.feature_labels
     }
 
-    /// Appends one point's severities (`None` → 0.0).
+    /// Appends one point's severities (`None` → 0.0). This is the only
+    /// conversion a served row gets: the forest scores the stored row.
     pub fn push_row(&mut self, severities: &[Option<f64>], usable: bool) {
         assert_eq!(severities.len(), self.n_features, "feature count mismatch");
         self.data

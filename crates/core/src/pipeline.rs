@@ -121,9 +121,6 @@ pub struct Opprentice {
     /// `forest` changes, bit-identical to it in every prediction.
     compiled: Option<CompiledForest>,
     predictor: EwmaCthldPredictor,
-    /// Scratch row for online prediction (severities with `None` → 0.0),
-    /// reused across points so the hot path allocates nothing.
-    feat_buf: Vec<f64>,
     /// Cumulative wall-clock nanoseconds spent in feature extraction.
     extract_ns: u64,
     /// Cumulative wall-clock nanoseconds spent scoring (matrix append +
@@ -159,7 +156,6 @@ impl Opprentice {
             forest: None,
             compiled: None,
             predictor,
-            feat_buf: Vec::new(),
             extract_ns: 0,
             infer_ns: 0,
             train_ns: 0,
@@ -347,21 +343,20 @@ impl Opprentice {
     /// Feeds one incoming point; returns the verdict (or `None` when no
     /// classifier is trained yet or the point is missing).
     ///
-    /// This is the serving hot path: the severity row goes straight into
-    /// the matrix and a reused scratch buffer (no per-point allocation),
-    /// and the prediction comes from the compiled forest.
+    /// This is the serving hot path: the severity row is converted once,
+    /// straight into the matrix (no per-point allocation), and the
+    /// compiled forest scores the stored row.
     pub fn observe(&mut self, timestamp: i64, value: Option<f64>) -> Option<Detection> {
         let t0 = Instant::now();
         let row = self.extractor.observe(timestamp, value);
-        self.extract_ns += t0.elapsed().as_nanos() as u64;
+        // One clock read ends extraction and starts inference.
         let t1 = Instant::now();
+        self.extract_ns += (t1 - t0).as_nanos() as u64;
         self.matrix.push_row(row, value.is_some());
-        self.feat_buf.clear();
-        self.feat_buf.extend(row.iter().map(|s| s.unwrap_or(0.0)));
         let verdict = (|| {
             value?;
             let compiled = self.compiled.as_ref()?;
-            let probability = compiled.predict(&self.feat_buf);
+            let probability = compiled.predict(self.matrix.row(self.matrix.len() - 1));
             let cthld = self
                 .predictor
                 .predict()
@@ -388,9 +383,9 @@ impl Opprentice {
 
         let t0 = Instant::now();
         let rows = self.extractor.observe_batch(&timestamps, values);
-        self.extract_ns += t0.elapsed().as_nanos() as u64;
-
         let t1 = Instant::now();
+        self.extract_ns += (t1 - t0).as_nanos() as u64;
+
         let cthld = self
             .predictor
             .predict()
@@ -400,11 +395,9 @@ impl Opprentice {
         for (i, v) in values.iter().enumerate() {
             let row = &rows[i * m..(i + 1) * m];
             self.matrix.push_row(row, v.is_some());
-            self.feat_buf.clear();
-            self.feat_buf.extend(row.iter().map(|s| s.unwrap_or(0.0)));
             out.push(match (v, compiled) {
                 (Some(_), Some(c)) => {
-                    let probability = c.predict(&self.feat_buf);
+                    let probability = c.predict(self.matrix.row(self.matrix.len() - 1));
                     Some(Detection {
                         probability,
                         cthld,

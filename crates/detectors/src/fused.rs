@@ -1161,7 +1161,11 @@ fn fuse_key(spec: &DetectorSpec) -> Option<FuseKey> {
 ///   These three decide most of the placement. SVD and wavelet cost does
 ///   not depend on the sampling interval; ARIMA's does (about 2.2 µs/pt
 ///   on an hourly KPI), so there it starts under-weighted until live
-///   timings replace the seed.
+///   timings replace the seed. SVD was re-measured after its packs became
+///   const-generic: the new kernel against the old one, interleaved in
+///   blocks of 500 points within one process on the 1-minute `sr` and
+///   `pv` streams, cost 0.72–0.74 of the old, so its seed is the old
+///   111 ns scaled by 0.73.
 /// * TSD/TSD MAD and historical average/MAD: their fused kernel on the
 ///   same 1-minute stream, divided by the lane count, split between the
 ///   plain and MAD lanes by the cost of each variant's kernel alone, and
@@ -1194,7 +1198,7 @@ fn seed_cost_ns(cfg: &ConfiguredDetector) -> f64 {
             }
         }
         DetectorSpec::HoltWinters { .. } => 7.5,
-        DetectorSpec::Svd { .. } => 111.0,
+        DetectorSpec::Svd { .. } => 81.0,
         DetectorSpec::Wavelet { .. } => 109.0,
         DetectorSpec::Opaque => match cfg.detector.name() {
             "ARIMA" => 120.0,

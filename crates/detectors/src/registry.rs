@@ -86,9 +86,11 @@ pub enum DetectorSpec {
     },
     /// SVD rank-1 residual over a `rows × cols` lag matrix.
     Svd {
-        /// Rows (segment length in points).
+        /// Rows (segment length in points), at least 2.
         rows: usize,
-        /// Columns (segments).
+        /// Columns (segments): 2 to [`crate::svd::MAX_COLS`] (8), the
+        /// widths the fused kernel has packs for; the registry uses 3, 5
+        /// and 7.
         cols: usize,
     },
     /// One frequency band of the wavelet filter bank.

@@ -33,6 +33,17 @@ const POWER_STEPS: usize = 4;
 /// amortized rebuild cost at this cadence is negligible.
 const GRAM_REFRESH: usize = 64;
 
+/// Rejects lag-matrix shapes neither SVD form supports: at least 2×2,
+/// and at most [`MAX_COLS`] columns (the scalar slide's fixed scratch and
+/// the fused kernel's pack widths).
+fn check_shape(rows: usize, cols: usize) {
+    assert!(rows >= 2 && cols >= 2, "lag matrix must be at least 2x2");
+    assert!(
+        cols <= MAX_COLS,
+        "lag matrix must have at most {MAX_COLS} columns, got {cols}"
+    );
+}
+
 /// The SVD reconstruction-residual detector.
 #[derive(Debug, Clone)]
 pub struct SvdDetector {
@@ -60,9 +71,9 @@ impl SvdDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `rows < 2` or `cols < 2`.
+    /// Panics if `rows < 2`, `cols < 2` or `cols > MAX_COLS`.
     pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows >= 2 && cols >= 2, "lag matrix must be at least 2x2");
+        check_shape(rows, cols);
         Self {
             rows,
             cols,
@@ -117,8 +128,8 @@ impl SvdDetector {
             // Per column j: the entry leaving (logical j·r) and the entry
             // arriving from the next column's head (logical (j+1)·r, which
             // for the last column is the incoming value itself).
-            let mut leave = [0.0f64; 8];
-            let mut enter = [0.0f64; 8];
+            let mut leave = [0.0f64; MAX_COLS];
+            let mut enter = [0.0f64; MAX_COLS];
             for j in 0..c {
                 leave[j] = self.at(j * r);
                 enter[j] = if j + 1 == c { v } else { self.at((j + 1) * r) };
@@ -237,18 +248,21 @@ impl Detector for SvdDetector {
 /// `buf[p + span]`, and no window read needs a wrap branch.
 ///
 /// Lanes are grouped by column count (the Gram geometry) into packs of up
-/// to five; each pack keeps its lanes' Gram matrices, singular vectors
-/// and refresh clocks in lane-minor structure-of-arrays form
-/// (`gram[j1 · cols + j2][lane]`). The per-point work — the O(c²)
-/// incremental Gram update and the warm-started power iteration — then
-/// runs in lockstep across a pack: each scalar detector's dependency chain
-/// (matrix-vector product → norm → normalize → convergence test → next
-/// step) is serial, but the lanes' chains are independent, so interleaving
-/// them fills the pipeline that one chain leaves idle, and the fixed lane
-/// width lets every lane loop compile to straight-line vector code. A lane
-/// that has converged (or is still warming up, or is padding) keeps its
-/// vector by a per-lane select while the others finish their steps; the
-/// rebuild cadence stays per lane.
+/// to five. A pack is an `SvdPack<C>` whose column count `C` is a
+/// compile-time constant, so its lanes' Gram matrices (`[[Lanes; C]; C]`),
+/// singular vectors and per-point scratch are fixed-size arrays — inline
+/// in the pack or on the stack — in lane-minor structure-of-arrays form
+/// (`gram[j1][j2][lane]`), and every loop over columns has a known trip
+/// count. The per-point work — the O(c²) incremental Gram update and the
+/// warm-started power iteration — then runs in lockstep across a pack:
+/// each scalar detector's dependency chain (matrix-vector product → norm
+/// → normalize → convergence test → next step) is serial, but the lanes'
+/// chains are independent, so interleaving them fills the pipeline that
+/// one chain leaves idle, and the fixed lane width lets every lane loop
+/// compile to straight-line vector code. A lane that has converged (or is
+/// still warming up, or is padding) keeps its vector by a per-lane select
+/// while the others finish their steps; the rebuild cadence stays per
+/// lane.
 ///
 /// # Bit-identity
 ///
@@ -260,6 +274,8 @@ impl Detector for SvdDetector {
 /// results a converged or cold lane's scalar twin would never have
 /// computed, and a Gram delta applied to a lane that rebuilds on the same
 /// point is overwritten by the rebuild, exactly as if it had been skipped.
+/// Making `C` a constant changes where the arrays live and lets the
+/// compiler unroll the column loops; it reorders no lane's operations.
 #[derive(Debug, Clone)]
 pub struct FusedSvd {
     /// Doubled ring of present values (`2 × span`).
@@ -268,7 +284,7 @@ pub struct FusedSvd {
     span: usize,
     /// Present values pushed so far.
     count: usize,
-    packs: Vec<SvdPack>,
+    packs: Vec<Pack>,
     n_configs: usize,
 }
 
@@ -276,58 +292,49 @@ pub struct FusedSvd {
 /// column count, so its 15 configurations fill three packs exactly.
 const LANES: usize = 5;
 
+/// The largest supported column count (lag-matrix segments). The registry
+/// uses 3, 5 and 7.
+pub const MAX_COLS: usize = 8;
+
 /// One lane-wide value per lane of a pack.
 type Lanes = [f64; LANES];
 
-/// Up to `LANES` lanes of one column count, in lane-minor SoA layout.
+/// Up to `LANES` lanes of column count `C`, in lane-minor SoA layout.
 /// Padding lanes have an unreachable window length and never warm up.
 #[derive(Debug, Clone)]
-struct SvdPack {
-    cols: usize,
+struct SvdPack<const C: usize> {
     /// Real lanes (the rest is padding).
     n: usize,
     rows: [usize; LANES],
-    /// Window length `rows × cols` per lane.
+    /// Window length `rows × C` per lane.
     cap: [usize; LANES],
     /// Kernel output slot of each real lane.
     slot: [usize; LANES],
     /// Slides since each lane's Gram matrix was last rebuilt.
     gram_age: [usize; LANES],
-    /// `cols × cols` Gram matrices, `[j1 · cols + j2][lane]`.
-    gram: Vec<Lanes>,
-    /// `cols` singular-vector entries (warm starts), `[j][lane]`.
-    v: Vec<Lanes>,
-    /// Power-iteration scratch, same layout as `v`.
-    v_next: Vec<Lanes>,
-    /// Per-slide scratch: each column's leaving / entering entry.
-    leave: Vec<Lanes>,
-    enter: Vec<Lanes>,
-    /// Gram-rebuild scratch: one row of dot products.
-    dots: Vec<f64>,
+    /// `C × C` Gram matrices, `[j1][j2][lane]`.
+    gram: [[Lanes; C]; C],
+    /// `C` singular-vector entries (warm starts), `[j][lane]`.
+    v: [Lanes; C],
 }
 
-impl SvdPack {
-    fn new(cols: usize) -> Self {
+impl<const C: usize> SvdPack<C> {
+    fn new() -> Self {
         Self {
-            cols,
             n: 0,
             rows: [0; LANES],
             cap: [usize::MAX; LANES],
             slot: [0; LANES],
             gram_age: [0; LANES],
-            gram: vec![[0.0; LANES]; cols * cols],
-            v: vec![[1.0 / (cols as f64).sqrt(); LANES]; cols],
-            v_next: vec![[0.0; LANES]; cols],
-            leave: vec![[0.0; LANES]; cols],
-            enter: vec![[0.0; LANES]; cols],
-            dots: vec![0.0; cols],
+            gram: [[[0.0; LANES]; C]; C],
+            v: [[1.0 / (C as f64).sqrt(); LANES]; C],
         }
     }
 
     fn push_lane(&mut self, rows: usize, slot: usize) {
         let l = self.n;
         self.rows[l] = rows;
-        self.cap[l] = rows * self.cols;
+        self.cap[l] = rows * C;
         self.slot[l] = slot;
         self.n += 1;
     }
@@ -337,42 +344,38 @@ impl SvdPack {
     /// before it; `count` is the number of present values so far.
     #[allow(clippy::needless_range_loop)] // lane indices keep the SoA algebra readable
     fn advance(&mut self, hist: &[f64], count: usize, out: &mut [Option<f64>]) {
-        let c = self.cols;
         let end = hist.len();
 
         // 1. Incremental Gram slide (scalar `slide`), in lockstep. Per
         //    column j the entry leaving (old window index j·r) and the one
         //    arriving (new window index (j+1)·r − 1); lanes that are not
         //    sliding yet contribute a zero delta.
+        let mut leave = [[0.0; LANES]; C];
+        let mut enter = [[0.0; LANES]; C];
         for l in 0..self.n {
             let (r, cap) = (self.rows[l], self.cap[l]);
             if count > cap {
                 let s = &hist[end - 1 - cap..];
-                for j in 0..c {
-                    self.leave[j][l] = s[j * r];
-                    self.enter[j][l] = s[(j + 1) * r];
-                }
-            } else {
-                for j in 0..c {
-                    self.leave[j][l] = 0.0;
-                    self.enter[j][l] = 0.0;
+                for j in 0..C {
+                    leave[j][l] = s[j * r];
+                    enter[j][l] = s[(j + 1) * r];
                 }
             }
         }
-        for j1 in 0..c {
-            let (e1, l1) = (self.enter[j1], self.leave[j1]);
-            for j2 in j1..c {
-                let (e2, l2) = (self.enter[j2], self.leave[j2]);
+        for j1 in 0..C {
+            let (e1, l1) = (enter[j1], leave[j1]);
+            for j2 in j1..C {
+                let (e2, l2) = (enter[j2], leave[j2]);
                 let mut delta = [0.0; LANES];
                 for l in 0..LANES {
                     delta[l] = e1[l] * e2[l] - l1[l] * l2[l];
                 }
-                let upper = &mut self.gram[j1 * c + j2];
+                let upper = &mut self.gram[j1][j2];
                 for l in 0..LANES {
                     upper[l] += delta[l];
                 }
                 if j1 != j2 {
-                    let lower = &mut self.gram[j2 * c + j1];
+                    let lower = &mut self.gram[j2][j1];
                     for l in 0..LANES {
                         lower[l] += delta[l];
                     }
@@ -391,11 +394,11 @@ impl SvdPack {
             let (r, cap) = (self.rows[l], self.cap[l]);
             if count == cap || (count > cap && self.gram_age[l] >= GRAM_REFRESH) {
                 let w = &hist[end - cap..];
-                for j1 in 0..c {
+                for j1 in 0..C {
                     // Row j1's dot products advance together (independent
                     // chains), each still summing i = 0..r in order.
-                    let dots = &mut self.dots[j1..];
-                    dots.fill(0.0);
+                    let mut row = [0.0; C];
+                    let dots = &mut row[..C - j1];
                     for i in 0..r {
                         let a = w[j1 * r + i];
                         for (k, dot) in dots.iter_mut().enumerate() {
@@ -403,8 +406,8 @@ impl SvdPack {
                         }
                     }
                     for (k, &dot) in dots.iter().enumerate() {
-                        self.gram[j1 * c + j1 + k][l] = dot;
-                        self.gram[(j1 + k) * c + j1][l] = dot;
+                        self.gram[j1][j1 + k][l] = dot;
+                        self.gram[j1 + k][j1][l] = dot;
                     }
                 }
                 self.gram_age[l] = 0;
@@ -418,23 +421,24 @@ impl SvdPack {
 
         // 3. Power iteration (scalar `rank1_residual`), in lockstep; a lane
         //    leaves the sweep once its vector stops moving.
-        let uniform = 1.0 / (c as f64).sqrt();
+        let uniform = 1.0 / (C as f64).sqrt();
         for _ in 0..POWER_STEPS {
             if active.iter().all(|&a| a == 0.0) {
                 break;
             }
-            for j1 in 0..c {
+            let mut next = [[0.0; LANES]; C];
+            for j1 in 0..C {
                 let mut acc = [0.0; LANES];
-                for j2 in 0..c {
-                    let (g, x) = (&self.gram[j1 * c + j2], &self.v[j2]);
+                for j2 in 0..C {
+                    let (g, x) = (&self.gram[j1][j2], &self.v[j2]);
                     for l in 0..LANES {
                         acc[l] += g[l] * x[l];
                     }
                 }
-                self.v_next[j1] = acc;
+                next[j1] = acc;
             }
             let mut norm = [0.0; LANES];
-            for x in &self.v_next {
+            for x in &next {
                 for l in 0..LANES {
                     norm[l] += x[l] * x[l];
                 }
@@ -445,7 +449,7 @@ impl SvdPack {
             // One simple pass per step keeps every lane loop a straight
             // vector sweep. The quotient is stored for every lane (a divide
             // only used under a select would become a per-lane branch).
-            for x in &mut self.v_next {
+            for x in &mut next {
                 for l in 0..LANES {
                     x[l] /= norm[l];
                 }
@@ -455,7 +459,7 @@ impl SvdPack {
             let real = self.n;
             if norm[..real].iter().any(|&n| n < 1e-300) {
                 // Degenerate (all-zero) window: fall back to uniform.
-                for x in &mut self.v_next {
+                for x in &mut next {
                     for l in 0..LANES {
                         x[l] = if norm[l] < 1e-300 { uniform } else { x[l] };
                     }
@@ -464,7 +468,7 @@ impl SvdPack {
             // The scalar `fold(0.0, f64::max)` over |v − next|: a NaN
             // distance is skipped, any larger one taken.
             let mut moved = [0.0f64; LANES];
-            for (v, x) in self.v.iter().zip(&self.v_next) {
+            for (v, x) in self.v.iter().zip(&next) {
                 for l in 0..LANES {
                     let d = (v[l] - x[l]).abs();
                     moved[l] = if d > moved[l] { d } else { moved[l] };
@@ -472,9 +476,9 @@ impl SvdPack {
             }
             if active[..real].iter().all(|&a| a != 0.0) {
                 // Every lane takes the step: the scalar swap, pack-wide.
-                std::mem::swap(&mut self.v, &mut self.v_next);
+                self.v = next;
             } else {
-                for (v, x) in self.v.iter_mut().zip(&self.v_next) {
+                for (v, x) in self.v.iter_mut().zip(&next) {
                     for l in 0..LANES {
                         v[l] = if active[l] != 0.0 { x[l] } else { v[l] };
                     }
@@ -493,10 +497,10 @@ impl SvdPack {
             out[self.slot[l]] = if count >= cap {
                 let w = &hist[end - cap..];
                 let mut av_last = 0.0;
-                for j in 0..c {
+                for j in 0..C {
                     av_last += w[j * r + r - 1] * self.v[j][l];
                 }
-                let approx = av_last * self.v[c - 1][l];
+                let approx = av_last * self.v[C - 1][l];
                 Some((w[cap - 1] - approx).abs().clamp(0.0, MAX_SEVERITY))
             } else {
                 None
@@ -505,22 +509,74 @@ impl SvdPack {
     }
 }
 
+/// Declares `Pack`, one variant per supported column count, and its
+/// dispatch to the matching `SvdPack`.
+macro_rules! svd_packs {
+    ($($variant:ident = $c:literal),+ $(,)?) => {
+        /// A lockstep pack of one column count, boxed so each pack takes
+        /// only its own width's space (an eight-column pack is ~3 KB).
+        #[derive(Debug, Clone)]
+        enum Pack {
+            $($variant(Box<SvdPack<$c>>),)+
+        }
+
+        impl Pack {
+            fn new(cols: usize) -> Self {
+                match cols {
+                    $($c => Pack::$variant(Box::new(SvdPack::new())),)+
+                    _ => unreachable!("column count checked by FusedSvd::new"),
+                }
+            }
+
+            fn cols(&self) -> usize {
+                match self {
+                    $(Pack::$variant(_) => $c,)+
+                }
+            }
+
+            fn lanes(&self) -> usize {
+                match self {
+                    $(Pack::$variant(p) => p.n,)+
+                }
+            }
+
+            fn push_lane(&mut self, rows: usize, slot: usize) {
+                match self {
+                    $(Pack::$variant(p) => p.push_lane(rows, slot),)+
+                }
+            }
+
+            fn advance(&mut self, hist: &[f64], count: usize, out: &mut [Option<f64>]) {
+                match self {
+                    $(Pack::$variant(p) => p.advance(hist, count, out),)+
+                }
+            }
+        }
+    };
+}
+
+svd_packs!(C2 = 2, C3 = 3, C4 = 4, C5 = 5, C6 = 6, C7 = 7, C8 = 8);
+
 impl FusedSvd {
     /// Creates lanes for the given `(rows, cols)` configurations, in
     /// output order.
     ///
     /// # Panics
     ///
-    /// Panics if `configs` is empty or a lag matrix is smaller than 2×2.
+    /// Panics if `configs` is empty, a lag matrix is smaller than 2×2, or
+    /// one has more than [`MAX_COLS`] columns.
     pub fn new(configs: &[(usize, usize)]) -> Self {
         assert!(!configs.is_empty(), "no configs");
-        let mut packs: Vec<SvdPack> = Vec::new();
+        let mut packs: Vec<Pack> = Vec::new();
         for (slot, &(rows, cols)) in configs.iter().enumerate() {
-            assert!(rows >= 2 && cols >= 2, "lag matrix must be at least 2x2");
-            let p = match packs.iter().position(|p| p.cols == cols && p.n < LANES) {
+            check_shape(rows, cols);
+            let p = match packs
+                .iter()
+                .position(|p| p.cols() == cols && p.lanes() < LANES)
+            {
                 Some(i) => i,
                 None => {
-                    packs.push(SvdPack::new(cols));
+                    packs.push(Pack::new(cols));
                     packs.len() - 1
                 }
             };
@@ -660,5 +716,29 @@ mod tests {
     #[should_panic(expected = "at least 2x2")]
     fn tiny_matrix_rejected() {
         let _ = SvdDetector::new(1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 columns")]
+    fn too_many_columns_rejected() {
+        let _ = SvdDetector::new(2, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 columns")]
+    fn fused_too_many_columns_rejected() {
+        let _ = FusedSvd::new(&[(10, 3), (2, 9)]);
+    }
+
+    #[test]
+    fn widest_supported_matrix_slides() {
+        // Eight columns is the limit both forms accept, and it must run
+        // past warm-up, through the first Gram slides and a refresh.
+        let values: Vec<f64> = (0..3 * 8 + 100).map(|i| (i % 5) as f64).collect();
+        let mut d = SvdDetector::new(3, 8);
+        let out = feed(&mut d, &values);
+        assert!(out[3 * 8 - 1..]
+            .iter()
+            .all(|s| s.is_some_and(f64::is_finite)));
     }
 }

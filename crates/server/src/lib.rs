@@ -83,6 +83,7 @@ mod proto;
 mod service;
 mod store;
 pub mod testing;
+mod verdict;
 
 pub use proto::{parse_request, validate_session_id, Request, Response};
 pub use service::{Server, ServerConfig, ServerHandle};

@@ -3,6 +3,9 @@
 //! Kept separate from the transport so it is unit-testable without sockets
 //! and reusable over any line-delimited byte stream.
 
+use crate::verdict::push_verdict;
+use opprentice::Detection;
+
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -64,6 +67,10 @@ pub enum Request {
 pub enum Response {
     /// `OK …`
     Ok(String),
+    /// `OK <verdict>` — an `OBS` reply, rendered on the way out.
+    Verdict(Option<Detection>),
+    /// `OK <verdict>|<verdict>|…` — an `OBSB` reply, one verdict per point.
+    Verdicts(Vec<Option<Detection>>),
     /// `ERR <reason>`
     Err(String),
     /// `BYE`
@@ -71,14 +78,48 @@ pub enum Response {
 }
 
 impl Response {
+    /// True for the `OK` forms.
+    pub fn is_ok(&self) -> bool {
+        matches!(
+            self,
+            Response::Ok(_) | Response::Verdict(_) | Response::Verdicts(_)
+        )
+    }
+
+    /// Appends the response line (without the trailing newline) to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        match self {
+            Response::Ok(s) if s.is_empty() => out.extend_from_slice(b"OK"),
+            Response::Ok(s) => {
+                out.extend_from_slice(b"OK ");
+                out.extend_from_slice(s.as_bytes());
+            }
+            Response::Verdict(d) => {
+                out.extend_from_slice(b"OK ");
+                push_verdict(out, *d);
+            }
+            Response::Verdicts(ds) => {
+                out.extend_from_slice(b"OK ");
+                for (i, d) in ds.iter().enumerate() {
+                    if i > 0 {
+                        out.push(b'|');
+                    }
+                    push_verdict(out, *d);
+                }
+            }
+            Response::Err(s) => {
+                out.extend_from_slice(b"ERR ");
+                out.extend_from_slice(s.as_bytes());
+            }
+            Response::Bye => out.extend_from_slice(b"BYE"),
+        }
+    }
+
     /// Renders the response line (without the trailing newline).
     pub fn render(&self) -> String {
-        match self {
-            Response::Ok(s) if s.is_empty() => "OK".to_string(),
-            Response::Ok(s) => format!("OK {s}"),
-            Response::Err(s) => format!("ERR {s}"),
-            Response::Bye => "BYE".to_string(),
-        }
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        String::from_utf8(out).expect("responses are UTF-8")
     }
 }
 
@@ -118,8 +159,19 @@ fn parse_value(raw: &str) -> Result<Option<f64>, String> {
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut parts = line.split_whitespace();
     let cmd = parts.next().ok_or("empty line")?;
-    let parsed = match cmd.to_ascii_uppercase().as_str() {
-        "HELLO" => {
+    // Commands are case-insensitive; the word is uppercased in a stack
+    // buffer as long as the longest command (no allocation per line).
+    let mut upper = [0u8; 7];
+    let word: &[u8] = match upper.get_mut(..cmd.len()) {
+        Some(word) => {
+            word.copy_from_slice(cmd.as_bytes());
+            word.make_ascii_uppercase();
+            word
+        }
+        None => b"",
+    };
+    let parsed = match word {
+        b"HELLO" => {
             let interval: u32 = parts
                 .next()
                 .ok_or("HELLO needs an interval")?
@@ -141,14 +193,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             };
             Request::Hello { interval, session }
         }
-        "RESUME" => {
+        b"RESUME" => {
             let id = parts.next().ok_or("RESUME needs a session id")?;
             validate_session_id(id)?;
             Request::Resume {
                 session: id.to_string(),
             }
         }
-        "PREF" => {
+        b"PREF" => {
             let recall: f64 = parts
                 .next()
                 .ok_or("PREF needs recall")?
@@ -166,7 +218,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             Request::Pref { recall, precision }
         }
-        "OBS" => {
+        b"OBS" => {
             let timestamp: i64 = parts
                 .next()
                 .ok_or("OBS needs a timestamp")?
@@ -178,7 +230,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 value: parse_value(raw)?,
             }
         }
-        "OBSB" => {
+        b"OBSB" => {
             let start: i64 = parts
                 .next()
                 .ok_or("OBSB needs a start timestamp")?
@@ -193,7 +245,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             Request::ObsBatch { start, values }
         }
-        "LABEL" => {
+        b"LABEL" => {
             let raw = parts.next().ok_or("LABEL needs flags")?;
             let mut flags = Vec::with_capacity(raw.len());
             for c in raw.chars() {
@@ -208,10 +260,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             Request::Label { flags }
         }
-        "RETRAIN" => Request::Retrain,
-        "STATUS" => Request::Status,
-        "QUIT" => Request::Quit,
-        other => return Err(format!("unknown command `{other}`")),
+        b"RETRAIN" => Request::Retrain,
+        b"STATUS" => Request::Status,
+        b"QUIT" => Request::Quit,
+        _ => return Err(format!("unknown command `{}`", cmd.to_ascii_uppercase())),
     };
     if parts.next().is_some() {
         return Err("trailing arguments".to_string());
@@ -365,6 +417,11 @@ mod tests {
         assert!(parse_request("LABEL").is_err());
         assert!(parse_request("PREF 2 0.5").is_err());
         assert!(parse_request("FLY ME").is_err());
+        assert_eq!(
+            parse_request("retrains"),
+            Err("unknown command `RETRAINS`".to_string())
+        );
+        assert_eq!(parse_request("ob"), Err("unknown command `OB`".to_string()));
         assert!(parse_request("STATUS noise").is_err());
     }
 
@@ -374,5 +431,21 @@ mod tests {
         assert_eq!(Response::Ok("p=0.5".into()).render(), "OK p=0.5");
         assert_eq!(Response::Err("nope".into()).render(), "ERR nope");
         assert_eq!(Response::Bye.render(), "BYE");
+        let hit = Detection {
+            probability: 0.8125,
+            cthld: 0.3125,
+            is_anomaly: true,
+        };
+        assert_eq!(
+            Response::Verdict(Some(hit)).render(),
+            "OK p=0.8125 cthld=0.312 anomaly=1"
+        );
+        assert_eq!(Response::Verdict(None).render(), "OK pending");
+        assert_eq!(
+            Response::Verdicts(vec![None, Some(hit)]).render(),
+            "OK pending|p=0.8125 cthld=0.312 anomaly=1"
+        );
+        assert!(Response::Verdicts(vec![]).is_ok());
+        assert!(!Response::Err("nope".into()).is_ok());
     }
 }

@@ -18,11 +18,10 @@
 use crate::proto::{parse_request, Request, Response};
 use crate::store::{DurableSession, SessionStore};
 use opprentice::cthld::Preference;
-use opprentice::{Detection, Opprentice, OpprenticeConfig};
+use opprentice::{Opprentice, OpprenticeConfig};
 use opprentice_learn::RandomForestParams;
 use opprentice_timeseries::Labels;
 use parking_lot::Mutex;
-use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -142,22 +141,13 @@ impl Session {
                 let Some(p) = self.pipeline.as_mut() else {
                     return Response::Err("HELLO first".into());
                 };
-                let mut out = String::new();
-                push_verdict(&mut out, p.observe(*timestamp, *value));
-                Response::Ok(out)
+                Response::Verdict(p.observe(*timestamp, *value))
             }
             Request::ObsBatch { start, values } => {
                 let Some(p) = self.pipeline.as_mut() else {
                     return Response::Err("HELLO first".into());
                 };
-                let mut out = String::with_capacity(values.len() * 32);
-                for (i, verdict) in p.observe_batch(*start, values).into_iter().enumerate() {
-                    if i > 0 {
-                        out.push('|');
-                    }
-                    push_verdict(&mut out, verdict);
-                }
-                Response::Ok(out)
+                Response::Verdicts(p.observe_batch(*start, values))
             }
             Request::Label { flags } => {
                 let Some(p) = self.pipeline.as_mut() else {
@@ -244,24 +234,6 @@ impl Session {
     /// Blocks until any in-flight retrain lands (replay and tests).
     pub(crate) fn wait_training(&mut self) -> Option<opprentice::TrainingReport> {
         self.pipeline.as_mut()?.wait_retrain()
-    }
-}
-
-/// Renders one observation's verdict exactly as an `OBS` reply carries it
-/// after the `OK ` — shared by the single and batched paths so `OBSB`
-/// replies are guaranteed byte-identical to the equivalent `OBS` sequence.
-fn push_verdict(out: &mut String, d: Option<Detection>) {
-    match d {
-        Some(d) => {
-            let _ = write!(
-                out,
-                "p={:.4} cthld={:.3} anomaly={}",
-                d.probability,
-                d.cthld,
-                u8::from(d.is_anomaly)
-            );
-        }
-        None => out.push_str("pending"),
     }
 }
 
@@ -382,7 +354,7 @@ fn apply_line(
 
     let response = session.apply(&request);
 
-    if let (Response::Ok(_), Some(d)) = (&response, durable.as_mut()) {
+    if let Some(d) = durable.as_mut().filter(|_| response.is_ok()) {
         if is_durable_command(&request) {
             // Append after apply, before the OK goes out: every command the
             // client sees acknowledged is on disk.
@@ -479,7 +451,6 @@ fn serve_connection(stream: TcpStream, ctx: Arc<ConnCtx>) {
                     let end = consumed + rel;
                     let line = String::from_utf8_lossy(&buf[consumed..end]);
                     consumed = end + 1;
-                    last_line_at = Instant::now();
                     let trimmed = line.trim();
                     if trimmed.is_empty() {
                         continue;
@@ -510,7 +481,7 @@ fn serve_connection(stream: TcpStream, ctx: Arc<ConnCtx>) {
                         out.extend_from_slice(event.as_bytes());
                         out.push(b'\n');
                     }
-                    out.extend_from_slice(response.render().as_bytes());
+                    response.write_to(&mut out);
                     out.push(b'\n');
                     if finished {
                         done = true;
@@ -519,14 +490,14 @@ fn serve_connection(stream: TcpStream, ctx: Arc<ConnCtx>) {
                 }
                 if consumed > 0 {
                     buf.drain(..consumed);
-                    // The slowloris clock restarts only when a line was
-                    // completed; a still-partial line keeps its original
-                    // start time.
-                    line_started_at = if buf.is_empty() {
-                        None
-                    } else {
-                        Some(Instant::now())
-                    };
+                    // One clock read per drained read: it stamps the idle
+                    // clock (a line completed) and, for a still-partial
+                    // line behind the completed ones, restarts the
+                    // slowloris clock; a read that completed no line keeps
+                    // both as they were.
+                    let now = Instant::now();
+                    last_line_at = now;
+                    line_started_at = if buf.is_empty() { None } else { Some(now) };
                 }
                 let write_failed = !out.is_empty() && writer.write_all(&out).is_err();
                 if write_failed || done {
@@ -894,10 +865,7 @@ mod tests {
             let base = 100.0 + 20.0 * ((i % 24) as f64 / 24.0 * std::f64::consts::TAU).sin();
             let anomalous = i % 63 == 50 || i % 63 == 51;
             let v = if anomalous { base + 150.0 } else { base };
-            assert!(matches!(
-                apply(&mut s, &format!("OBS {} {v}", i * 3600)),
-                Response::Ok(_)
-            ));
+            assert!(apply(&mut s, &format!("OBS {} {v}", i * 3600)).is_ok());
             flags.push(if anomalous { '1' } else { '0' });
         }
         assert!(matches!(
@@ -920,10 +888,7 @@ mod tests {
             other => panic!("unexpected {}", other.render()),
         }
         // Observations keep flowing throughout.
-        assert!(matches!(
-            apply(&mut s, &format!("OBS {} 100.0", n * 3600)),
-            Response::Ok(_)
-        ));
+        assert!(apply(&mut s, &format!("OBS {} 100.0", n * 3600)).is_ok());
 
         // Once the job lands, both are accepted again.
         let report = s.wait_training().expect("job lands");
@@ -967,6 +932,107 @@ mod tests {
         singles.send("QUIT");
         batched.send("QUIT");
         fresh.send("QUIT");
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// The verdict text as `std` formatting renders it: the reply format
+    /// before the integer writer, kept here as the reference.
+    fn std_verdict(d: Option<opprentice::Detection>) -> String {
+        match d {
+            Some(d) => format!(
+                "p={:.4} cthld={:.3} anomaly={}",
+                d.probability,
+                d.cthld,
+                u8::from(d.is_anomaly)
+            ),
+            None => "pending".to_string(),
+        }
+    }
+
+    /// Over a served stream — untrained, then trained, with missing points
+    /// and spikes — `OBS` and `OBSB` replies are byte for byte the
+    /// `std`-formatted verdicts of an in-process pipeline fed the same
+    /// points.
+    #[test]
+    fn served_verdicts_match_std_formatting() {
+        let (handle, join) = start_server(test_config());
+        let mut singles = Client::connect(handle.addr());
+        let mut batched = Client::connect(handle.addr());
+        let mut reference = Opprentice::new(
+            3600,
+            OpprenticeConfig {
+                preference: Preference::moderate(),
+                forest: RandomForestParams {
+                    n_trees: test_config().n_trees,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let value = |i: usize| -> Option<f64> {
+            let base = 100.0 + 20.0 * ((i % 24) as f64 / 24.0 * std::f64::consts::TAU).sin();
+            match i % 63 {
+                50 | 51 => Some(base + 150.0),
+                20 => None,
+                _ => Some(base + ((i * 37) % 11) as f64 * 0.37),
+            }
+        };
+        let token = |v: Option<f64>| v.map_or("nan".to_string(), |v| v.to_string());
+
+        assert!(singles.send("HELLO 3600").starts_with("OK"));
+        assert!(batched.send("HELLO 3600").starts_with("OK"));
+        let history = 21 * 24;
+        let mut flags = String::with_capacity(history);
+        for i in 0..history {
+            let ts = i as i64 * 3600;
+            let expect = format!("OK {}", std_verdict(reference.observe(ts, value(i))));
+            assert_eq!(
+                singles.send(&format!("OBS {ts} {}", token(value(i)))),
+                expect
+            );
+            assert_eq!(
+                batched.send(&format!("OBS {ts} {}", token(value(i)))),
+                expect
+            );
+            flags.push(if matches!(i % 63, 50 | 51) { '1' } else { '0' });
+        }
+        reference
+            .ingest_labels(&Labels::from_flags(
+                flags.chars().map(|c| c == '1').collect(),
+            ))
+            .unwrap();
+        assert!(reference.retrain());
+        for c in [&mut singles, &mut batched] {
+            assert_eq!(
+                c.send(&format!("LABEL {flags}")),
+                format!("OK labeled={history}")
+            );
+            retrain_and_wait(c);
+        }
+
+        let served = history..history + 10 * 24;
+        let expected: Vec<String> = served
+            .clone()
+            .map(|i| std_verdict(reference.observe(i as i64 * 3600, value(i))))
+            .collect();
+        assert!(expected.iter().any(|v| v.ends_with("anomaly=1")));
+        for (i, expect) in served.clone().zip(&expected) {
+            let line = format!("OBS {} {}", i * 3600, token(value(i)));
+            assert_eq!(singles.send(&line), format!("OK {expect}"));
+        }
+        let tokens: Vec<String> = served.clone().map(|i| token(value(i))).collect();
+        assert_eq!(
+            batched.send(&format!(
+                "OBSB {} {}",
+                served.start * 3600,
+                tokens.join(" ")
+            )),
+            format!("OK {}", expected.join("|"))
+        );
+
+        singles.send("QUIT");
+        batched.send("QUIT");
         handle.shutdown();
         join.join().unwrap();
     }

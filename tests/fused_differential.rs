@@ -13,8 +13,9 @@
 //! - the lockstep SVD kernel matches the boxed SVD detectors on every
 //!   pruned subset of its 15 lanes, across missing bursts at Gram-refresh
 //!   boundaries, converged (constant) and degenerate (all-zero) windows,
-//!   and mid-stream clones; the wavelet kernel likewise on every subset
-//!   of its 9 lanes;
+//!   and mid-stream clones, and at every pack width it supports (2 to 8
+//!   columns, including a padded second pack); the wavelet kernel likewise
+//!   on every subset of its 9 lanes;
 //! - the TSD and historical average/MAD kernels (every window a suffix of
 //!   one per-slot ring) match on every subset of their 10 lanes over
 //!   multi-week streams whose slot windows fill, evict, skip a week and
@@ -24,8 +25,11 @@
 //! through `observe_clamped` — *not* the extraction engine, so the two
 //! implementations stay independent.
 
-use opprentice_repro::detectors::fused::plan;
+use opprentice_repro::detectors::clamp_severity;
+use opprentice_repro::detectors::fused::{plan, FamilyKernel};
 use opprentice_repro::detectors::registry::{registry, ConfiguredDetector, DetectorSpec};
+use opprentice_repro::detectors::svd::{FusedSvd, SvdDetector};
+use opprentice_repro::detectors::Detector;
 use opprentice_repro::opprentice::features::OnlineExtractor;
 use proptest::prelude::*;
 
@@ -287,7 +291,7 @@ fn check_lanes(
     let k = kernel.n_configs();
     prop_assert_eq!(k, oracle.len());
     let mut row = vec![None; k];
-    let mut clone: Option<Box<dyn opprentice_repro::detectors::fused::FamilyKernel>> = None;
+    let mut clone: Option<Box<dyn FamilyKernel>> = None;
     let mut clone_row = vec![None; k];
     for (i, v) in values.iter().enumerate() {
         if i == cut {
@@ -396,6 +400,75 @@ proptest! {
         let values: Vec<Option<f64>> = values.into_iter().chain(extra).collect();
         let cut = (values.len() as f64 * cut_frac) as usize;
         check_lanes("wavelet", mask, &values, cut)?;
+    }
+}
+
+/// `(rows, cols)` lanes at every column count the kernel has a pack for
+/// (2 to 8), interleaved across widths so output slots and packs do not
+/// line up. Width 4 has seven row counts: one full pack of five and a
+/// second pack with two real lanes and three padding lanes.
+fn every_width_configs() -> Vec<(usize, usize)> {
+    let mut configs = Vec::new();
+    for rows in [2, 10, 23, 50, 7] {
+        for cols in 2..=8 {
+            configs.push((rows, cols));
+        }
+    }
+    configs.push((3, 4));
+    configs.push((31, 4));
+    configs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One kernel over lanes of every pack width matches a boxed
+    /// `SvdDetector` per lane bit for bit, and so does a clone taken
+    /// mid-stream.
+    #[test]
+    fn fused_svd_every_pack_width_matches_scalar_detectors(
+        values in svd_stream_strategy(),
+        cut_frac in 0.05f64..0.95,
+    ) {
+        let configs = every_width_configs();
+        prop_assert_eq!(configs.iter().filter(|c| c.1 == 4).count(), 7);
+        let mut oracle: Vec<SvdDetector> =
+            configs.iter().map(|&(r, c)| SvdDetector::new(r, c)).collect();
+        let mut kernel = FusedSvd::new(&configs);
+        prop_assert_eq!(kernel.n_configs(), configs.len());
+        let cut = (values.len() as f64 * cut_frac) as usize;
+        let mut clone: Option<FusedSvd> = None;
+        let mut row = vec![None; configs.len()];
+        let mut clone_row = vec![None; configs.len()];
+        for (i, v) in values.iter().enumerate() {
+            if i == cut {
+                clone = Some(kernel.clone());
+            }
+            let ts = i as i64 * i64::from(INTERVAL);
+            kernel.observe(ts, *v, &mut row);
+            if let Some(c) = clone.as_mut() {
+                c.observe(ts, *v, &mut clone_row);
+            }
+            for (j, det) in oracle.iter_mut().enumerate() {
+                let expect = clamp_severity(det.observe(ts, *v)).map(f64::to_bits);
+                prop_assert_eq!(
+                    row[j].map(f64::to_bits),
+                    expect,
+                    "{:?} diverged at point {}",
+                    configs[j],
+                    i
+                );
+                if clone.is_some() {
+                    prop_assert_eq!(
+                        clone_row[j].map(f64::to_bits),
+                        expect,
+                        "clone of {:?} diverged at point {}",
+                        configs[j],
+                        i
+                    );
+                }
+            }
+        }
     }
 }
 
