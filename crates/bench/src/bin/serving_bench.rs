@@ -26,7 +26,9 @@
 //!
 //! It also records the resident-memory growth of one extractor on a
 //! 1-minute KPI (`extractor_memory`), the per-stream state a fleet of
-//! sessions would pay for.
+//! sessions would pay for, and what each point a trained session serves
+//! adds to it (`session_memory`, bytes per point; `--max-session-bytes-per-pt`
+//! turns it into a ceiling).
 //!
 //! Results land in `results/BENCH_serving.json`. Modes: `--tiny` (CI
 //! smoke, seconds), default (laptop-sized), `--full` (paper-sized forest
@@ -35,6 +37,7 @@
 //! Run with: `cargo run --release -p opprentice-bench --bin serving_bench`
 
 use opprentice::features::OnlineExtractor;
+use opprentice::{Opprentice, OpprenticeConfig};
 use opprentice_detectors::registry::registry;
 use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams};
 use opprentice_server::testing::Client;
@@ -72,9 +75,10 @@ struct Sizes {
     sessions: usize,
 }
 
-/// Parses `--<flag> <N>`: a committed throughput floor. When set, the
-/// bench exits non-zero after writing its JSON if the measured number
-/// lands below the floor (the CI guard against path regressions).
+/// Parses `--<flag> <N>`: a committed throughput floor or memory ceiling.
+/// When set, the bench exits non-zero after writing its JSON if the
+/// measured number lands on the wrong side of it (the CI guard against
+/// path regressions).
 fn floor_arg(flag: &str) -> Option<f64> {
     let args: Vec<String> = std::env::args().collect();
     let idx = args.iter().position(|a| a == flag)?;
@@ -214,17 +218,17 @@ fn wait_trained(c: &mut Client) -> u64 {
 
 /// Connects, trains a session on labeled history, leaving it ready to
 /// serve verdicts from the compiled forest.
-fn trained_client(addr: std::net::SocketAddr, sizes: &Sizes, nodelay: bool) -> Client {
+fn trained_client(addr: std::net::SocketAddr, train_hours: usize, nodelay: bool) -> Client {
     let mut c = if nodelay {
         Client::connect(addr).expect("connect")
     } else {
         Client::connect_plain(addr).expect("connect")
     };
     assert!(c.send("HELLO 3600").unwrap().starts_with("OK"));
-    let mut flags = String::with_capacity(sizes.train_hours);
+    let mut flags = String::with_capacity(train_hours);
     // History is itself streamed in batches — training setup is not what
     // this benchmark measures.
-    for chunk in (0..sizes.train_hours).collect::<Vec<_>>().chunks(24) {
+    for chunk in (0..train_hours).collect::<Vec<_>>().chunks(24) {
         let values: Vec<String> = chunk
             .iter()
             .map(|&i| {
@@ -333,6 +337,62 @@ fn extractor_memory() -> (usize, Option<u64>) {
     (points, before.zip(after).map(|(b, a)| a.saturating_sub(b)))
 }
 
+/// Returns the allocator's free pages to the kernel (glibc's
+/// `malloc_trim`), so `VmRSS` tracks live memory rather than heap slack:
+/// otherwise a growing buffer can land in pages an earlier section freed
+/// (hiding its growth), or leave its old copy resident (doubling it).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` takes no pointers; it only releases memory
+    // that no allocation owns.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_heap() {}
+
+/// Points of the 1-minute pv preset a measured session serves after its
+/// [`MEMORY_DAYS`] of labeled history — two weeks.
+const SESSION_SERVED_POINTS: usize = 14 * 1440;
+
+/// Resident-memory growth per served point of one trained pipeline on a
+/// 1-minute KPI: train `Opprentice` on [`MEMORY_DAYS`] of the pv preset
+/// (enough for every detector window to be full), then read `VmRSS`,
+/// with free heap pages released, around [`SESSION_SERVED_POINTS`] more
+/// points served one by one. This is what a session's history costs per
+/// point; a stored feature row would be ~1 KB. Returns
+/// `(history points, bytes)`.
+fn session_memory(n_trees: usize) -> (usize, Option<u64>) {
+    let history = MEMORY_DAYS * 1440;
+    let mut spec = opprentice_datagen::presets::pv();
+    spec.weeks = (history + SESSION_SERVED_POINTS).div_ceil(7 * 1440);
+    let kpi = spec.generate();
+    let config = OpprenticeConfig {
+        forest: RandomForestParams {
+            n_trees,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut opp = Opprentice::new(60, config);
+    opp.ingest_history(&kpi.series.slice(0..history), &kpi.truth.slice(0..history))
+        .expect("fresh pipeline accepts history");
+    assert!(opp.retrain(), "pv history holds a labeled anomaly");
+    release_free_heap();
+    let before = rss_bytes();
+    for i in history..history + SESSION_SERVED_POINTS {
+        std::hint::black_box(opp.observe(kpi.series.timestamp_at(i), kpi.series.get(i)));
+    }
+    release_free_heap();
+    let after = rss_bytes();
+    (history, before.zip(after).map(|(b, a)| a.saturating_sub(b)))
+}
+
 fn main() {
     let sizes = Sizes::from_args();
     eprintln!("[serving_bench] mode={}", sizes.mode);
@@ -343,6 +403,16 @@ fn main() {
         Some(b) => eprintln!(
             "[memory] one 1-minute extractor after {memory_points} points: +{:.1} MB RSS",
             b as f64 / 1e6
+        ),
+        None => eprintln!("[memory] RSS not available on this platform"),
+    }
+
+    let (session_history, session_bytes) = session_memory(sizes.server_trees);
+    let session_bytes_per_point = session_bytes.map(|b| b as f64 / SESSION_SERVED_POINTS as f64);
+    match session_bytes_per_point {
+        Some(b) => eprintln!(
+            "[memory] one trained 1-minute session over {SESSION_SERVED_POINTS} served points: \
+             {b:.1} B/pt RSS"
         ),
         None => eprintln!("[memory] RSS not available on this platform"),
     }
@@ -545,7 +615,7 @@ fn main() {
     // no TCP_NODELAY — exactly how every client drove the server before
     // this change. Nagle + delayed ACK stall each point ~40 ms, so the
     // sample is deliberately small.
-    let mut legacy = trained_client(handle.addr(), &sizes, false);
+    let mut legacy = trained_client(handle.addr(), sizes.train_hours, false);
     let obs_legacy = run_obs(&mut legacy, sizes.train_hours, sizes.legacy_points);
     legacy.send("QUIT").unwrap();
     eprintln!(
@@ -553,7 +623,7 @@ fn main() {
         obs_legacy.points_per_sec, obs_legacy.p50_us, obs_legacy.p99_us
     );
 
-    let mut c = trained_client(handle.addr(), &sizes, true);
+    let mut c = trained_client(handle.addr(), sizes.train_hours, true);
     let obs = run_obs(&mut c, sizes.train_hours, sizes.measure_points);
     let obsb = run_obsb(
         &mut c,
@@ -609,32 +679,39 @@ fn main() {
         during.points_per_sec, during.p50_us, during.p99_us
     );
 
-    // ---- TCP server: N concurrent untrained sessions streaming OBSB -----
-    // Extraction dominates the untrained path; this measures how the
-    // thread-per-connection transport scales on this host.
+    // ---- TCP server: N concurrent trained sessions streaming OBSB -------
+    // Each session trains first (an untrained session only records raw
+    // points, so it would measure the protocol alone), then all stream at
+    // once; this measures how the thread-per-connection transport scales
+    // on this host.
     let addr = handle.addr();
     let per_session = sizes.measure_points / sizes.sessions;
-    let t0 = Instant::now();
+    let start = std::sync::Arc::new(std::sync::Barrier::new(sizes.sessions + 1));
     let workers: Vec<_> = (0..sizes.sessions)
         .map(|_| {
             let batch = sizes.batch;
+            let train_hours = sizes.train_hours;
+            let start = std::sync::Arc::clone(&start);
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr).expect("connect");
-                assert!(c.send("HELLO 3600").unwrap().starts_with("OK"));
+                let mut c = trained_client(addr, train_hours, true);
+                start.wait();
                 let mut i = 0;
                 while i < per_session {
                     let take = batch.min(per_session - i);
+                    let hour = train_hours + i;
                     let values: Vec<String> = (0..take)
-                        .map(|k| format!("{}", kpi_value(i + k).0))
+                        .map(|k| format!("{}", kpi_value(hour + k).0))
                         .collect();
-                    let line = format!("OBSB {} {}", i * 3600, values.join(" "));
-                    assert!(c.send(&line).unwrap().starts_with("OK"));
+                    let line = format!("OBSB {} {}", hour * 3600, values.join(" "));
+                    assert!(c.send(&line).unwrap().starts_with("OK p="));
                     i += take;
                 }
                 c.send("QUIT").unwrap();
             })
         })
         .collect();
+    start.wait();
+    let t0 = Instant::now();
     for w in workers {
         w.join().unwrap();
     }
@@ -656,6 +733,14 @@ fn main() {
     "interval_s": 60,
     "points": {memory_points},
     "rss_growth_bytes": {memory_bytes}
+  }},
+  "session_memory": {{
+    "note": "resident-set growth of one trained Opprentice pipeline (1-minute pv preset, {memory_days} days of labeled history) while it serves {session_points} more points through observe, read with the allocator's free pages released (null where /proc is unavailable)",
+    "interval_s": 60,
+    "history_points": {session_history},
+    "served_points": {session_points},
+    "rss_growth_bytes": {session_bytes},
+    "session_bytes_per_point": {session_bpp}
   }},
   "inference_microbench": {{
     "n_trees": {micro_trees},
@@ -720,6 +805,7 @@ fn main() {
     "server_train_us": {server_train_us}
   }},
   "serving_concurrent": {{
+    "note": "aggregate OBSB points/sec of N trained sessions streaming at once (timed after every session's model landed)",
     "sessions": {sessions},
     "points_per_sec": {concurrent_pps:.1}
   }}
@@ -728,6 +814,9 @@ fn main() {
         mode = sizes.mode,
         memory_days = MEMORY_DAYS,
         memory_bytes = memory_bytes.map_or("null".to_string(), |b| b.to_string()),
+        session_points = SESSION_SERVED_POINTS,
+        session_bytes = session_bytes.map_or("null".to_string(), |b| b.to_string()),
+        session_bpp = session_bytes_per_point.map_or("null".to_string(), |b| format!("{b:.1}")),
         extract_batch = EXTRACT_BATCH,
         extract_passes = EXTRACT_PASSES,
         family_json = family_table
@@ -769,6 +858,19 @@ fn main() {
     f.write_all(json.as_bytes()).expect("write json");
     eprintln!("[json] wrote {path}");
 
+    if let Some(ceiling) = floor_arg("--max-session-bytes-per-pt") {
+        match session_bytes_per_point {
+            Some(b) if b > ceiling => {
+                eprintln!(
+                    "[FAIL] a served point costs {b:.1} B of session memory, above the \
+                     committed ceiling of {ceiling:.0} B"
+                );
+                std::process::exit(1);
+            }
+            Some(b) => eprintln!("[ceiling] session memory {b:.1} B/pt <= {ceiling:.0} B/pt"),
+            None => eprintln!("[ceiling] session memory not measurable here; skipped"),
+        }
+    }
     if let Some(floor) = floor_arg("--min-extract-pps") {
         if extract_pps < floor {
             eprintln!(

@@ -9,10 +9,10 @@
 
 use crate::cthld::{best_cthld, Preference};
 use crate::error::PipelineError;
-use crate::features::{FeatureMatrix, OnlineExtractor};
+use crate::features::OnlineExtractor;
 use crate::predictor::{five_fold_cthld, EwmaCthldPredictor};
 use opprentice_learn::metrics::pr_curve;
-use opprentice_learn::{Classifier, CompiledForest, RandomForest, RandomForestParams};
+use opprentice_learn::{Classifier, CompiledForest, Dataset, RandomForest, RandomForestParams};
 use opprentice_timeseries::{Labels, TimeSeries};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -93,6 +93,9 @@ pub struct TrainingReport {
 /// An in-flight background training job.
 struct TrainingJob {
     id: u64,
+    /// Raw points the job replays (the labeled prefix at submission). A
+    /// handed-back extractor has consumed exactly these.
+    prefix: usize,
     handle: JoinHandle<TrainOutcome>,
 }
 
@@ -106,28 +109,48 @@ struct TrainOutcome {
     init: Option<f64>,
     forest: RandomForest,
     compiled: CompiledForest,
+    /// The job's extractor, advanced over the labeled prefix — handed back
+    /// only when the session had no serving extractor at submission, so
+    /// the first model's history is extracted exactly once.
+    extractor: Option<OnlineExtractor>,
     train_ns: u64,
 }
 
 /// The operators' apprentice: the end-to-end anomaly detection pipeline.
+///
+/// Every observed point is kept as a raw `(timestamp, value)` pair — the
+/// history a retrain learns from (§4.5, strategy I4). Severity rows are
+/// never stored: a retrain replays the labeled raw prefix through a fresh
+/// extractor inside its job, which yields bit-identical rows because
+/// extraction is deterministic. Before the first model lands nothing is
+/// extracted at all (every verdict would be pending anyway); the first
+/// job's extractor becomes the serving one.
 pub struct Opprentice {
     config: OpprenticeConfig,
     interval: u32,
-    extractor: OnlineExtractor,
-    matrix: FeatureMatrix,
+    /// Every observed point, in arrival order (24 bytes each).
+    raw: Vec<(i64, Option<f64>)>,
+    /// The serving extractor: `None` until a model is first installed,
+    /// afterwards advanced over exactly the points in `raw`.
+    extractor: Option<OnlineExtractor>,
+    /// The served point's severity row (`None` → 0.0), reused per point.
+    row: Vec<f64>,
     truth: Labels,
     forest: Option<RandomForest>,
     /// The forest flattened for the serving hot path — rebuilt whenever
     /// `forest` changes, bit-identical to it in every prediction.
     compiled: Option<CompiledForest>,
     predictor: EwmaCthldPredictor,
-    /// Cumulative wall-clock nanoseconds spent in feature extraction.
+    /// Cumulative wall-clock nanoseconds spent in serving-thread feature
+    /// extraction (live points, plus the catch-up when a model is
+    /// installed).
     extract_ns: u64,
-    /// Cumulative wall-clock nanoseconds spent scoring (matrix append +
+    /// Cumulative wall-clock nanoseconds spent scoring (row conversion +
     /// forest prediction).
     infer_ns: u64,
     /// Cumulative wall-clock nanoseconds spent training (sync and
-    /// background jobs, measured inside the job thread).
+    /// background jobs, measured inside the job thread, re-extraction of
+    /// the labeled history included).
     train_ns: u64,
     /// Counts installed models: 0 = untrained, +1 per completed retrain
     /// (or set directly when a snapshot is restored).
@@ -141,17 +164,84 @@ pub struct Opprentice {
     job: Option<TrainingJob>,
 }
 
+/// Writes a severity row into `dst` with missing verdicts as 0.0 — the
+/// one conversion a served row gets (a retrain converts its rows the same
+/// way, straight into the training set).
+fn fill_row(dst: &mut [f64], severities: &[Option<f64>]) {
+    for (d, s) in dst.iter_mut().zip(severities) {
+        *d = s.unwrap_or(0.0);
+    }
+}
+
+/// Streams raw points through `extractor` in [`HISTORY_CHUNK`] batches,
+/// handing each point's index and severity row to `visit`.
+fn replay(
+    extractor: &mut OnlineExtractor,
+    points: &[(i64, Option<f64>)],
+    mut visit: impl FnMut(usize, &[Option<f64>]),
+) {
+    let m = extractor.n_features();
+    let mut ts_buf = Vec::with_capacity(HISTORY_CHUNK);
+    let mut val_buf = Vec::with_capacity(HISTORY_CHUNK);
+    for (c, chunk) in points.chunks(HISTORY_CHUNK).enumerate() {
+        ts_buf.clear();
+        val_buf.clear();
+        ts_buf.extend(chunk.iter().map(|p| p.0));
+        val_buf.extend(chunk.iter().map(|p| p.1));
+        let rows = extractor.observe_batch(&ts_buf, &val_buf);
+        for k in 0..chunk.len() {
+            visit(c * HISTORY_CHUNK + k, &rows[k * m..(k + 1) * m]);
+        }
+    }
+}
+
+/// Re-extracts the labeled prefix for a retrain round: the training set
+/// (every usable point, in order — exactly what `FeatureMatrix::dataset`
+/// over streamed rows builds) and, when `old` is given, the old model's
+/// score of every point of the latest labeled week (`None` where the
+/// value is missing). Returns the advanced extractor too.
+fn reextract(
+    interval: u32,
+    points: &[(i64, Option<f64>)],
+    flags: &[bool],
+    week_start: usize,
+    old: Option<&CompiledForest>,
+) -> (OnlineExtractor, Dataset, Vec<Option<f64>>) {
+    let mut extractor = OnlineExtractor::new(interval);
+    let m = extractor.n_features();
+    // Sized up front: the training rows are written once, never moved.
+    let usable = points.iter().filter(|p| p.1.is_some()).count();
+    let mut features = Vec::with_capacity(usable * m);
+    let mut labels = Vec::with_capacity(usable);
+    let mut week_scores = vec![None; points.len() - week_start];
+    replay(&mut extractor, points, |i, severities| {
+        if points[i].1.is_none() {
+            return;
+        }
+        let at = features.len();
+        features.extend(severities.iter().map(|s| s.unwrap_or(0.0)));
+        labels.push(flags[i]);
+        if let Some(old) = old.filter(|_| i >= week_start) {
+            week_scores[i - week_start] = Some(old.predict(&features[at..]));
+        }
+    });
+    (
+        extractor,
+        Dataset::from_rows(m, features, labels),
+        week_scores,
+    )
+}
+
 impl Opprentice {
     /// Creates a fresh pipeline for a KPI sampled every `interval` seconds.
     pub fn new(interval: u32, config: OpprenticeConfig) -> Self {
-        let extractor = OnlineExtractor::new(interval);
-        let matrix = FeatureMatrix::new(extractor.labels());
         let predictor = EwmaCthldPredictor::new(config.cthld_alpha);
         Self {
             config,
             interval,
-            extractor,
-            matrix,
+            raw: Vec::new(),
+            extractor: None,
+            row: Vec::new(),
             truth: Labels::all_normal(0),
             forest: None,
             compiled: None,
@@ -167,7 +257,7 @@ impl Opprentice {
 
     /// Number of points observed so far.
     pub fn observed_len(&self) -> usize {
-        self.matrix.len()
+        self.raw.len()
     }
 
     /// Number of points with operator labels so far.
@@ -197,9 +287,13 @@ impl Opprentice {
         self.interval
     }
 
-    /// Cumulative wall-clock microseconds spent extracting features over
-    /// the pipeline's lifetime ([`Opprentice::observe`] and
-    /// [`Opprentice::observe_batch`]).
+    /// Cumulative wall-clock microseconds the serving thread spent
+    /// extracting features over the pipeline's lifetime
+    /// ([`Opprentice::observe`] and [`Opprentice::observe_batch`], plus
+    /// the catch-up over unextracted points when a model is installed).
+    /// Zero until the first model lands: nothing is extracted before it,
+    /// and a retrain's re-extraction of the history counts as training
+    /// ([`Opprentice::train_us`]).
     ///
     /// This is the *caller-experienced* latency of extraction calls: under
     /// the fused batch path the family kernels run concurrently on the
@@ -209,21 +303,26 @@ impl Opprentice {
         self.extract_ns / 1_000
     }
 
-    /// Measured per-family extraction cost (kernel CPU time over the
-    /// batched path), aggregated across each family's fused units — see
-    /// [`crate::features::FamilyStat`].
+    /// Measured per-family extraction cost of the serving extractor
+    /// (kernel CPU time over the batched path), aggregated across each
+    /// family's fused units — see [`crate::features::FamilyStat`]. Empty
+    /// until the first model lands.
     pub fn family_stats(&self) -> Vec<crate::features::FamilyStat> {
-        self.extractor.family_stats()
+        self.extractor
+            .as_ref()
+            .map(OnlineExtractor::family_stats)
+            .unwrap_or_default()
     }
 
-    /// Cumulative wall-clock microseconds spent scoring (matrix append +
+    /// Cumulative wall-clock microseconds spent scoring (row conversion +
     /// forest prediction) over the pipeline's lifetime.
     pub fn infer_us(&self) -> u64 {
         self.infer_ns / 1_000
     }
 
     /// Cumulative wall-clock microseconds spent training over the
-    /// pipeline's lifetime (counted when a job lands, sync or background).
+    /// pipeline's lifetime (counted when a job lands, sync or background),
+    /// including each round's re-extraction of the labeled history.
     pub fn train_us(&self) -> u64 {
         self.train_ns / 1_000
     }
@@ -269,7 +368,9 @@ impl Opprentice {
     /// snapshot was taken at. Observation and label state are *not*
     /// touched — the caller rebuilds those by replaying the write-ahead
     /// log, which is what keeps restored sessions scoring identically to
-    /// uninterrupted ones.
+    /// uninterrupted ones. Installing a model on a session that has not
+    /// extracted yet replays every observed point through a fresh serving
+    /// extractor first.
     pub fn restore_trained_state(
         &mut self,
         forest: Option<RandomForest>,
@@ -283,11 +384,25 @@ impl Opprentice {
             Some(c) => self.predictor.initialize(c),
             None => self.predictor = EwmaCthldPredictor::new(self.config.cthld_alpha),
         }
+        if self.forest.is_some() && self.extractor.is_none() {
+            self.install_extractor(OnlineExtractor::new(self.interval), 0);
+        }
     }
 
-    /// Replays an already-labeled historical series through the detectors —
-    /// the initial setup step ("operators … label anomalies in the
-    /// historical data at the beginning", §4.1).
+    /// Makes `extractor`, already advanced over `raw[..from]`, the serving
+    /// extractor after catching it up over the rest of the raw log.
+    fn install_extractor(&mut self, mut extractor: OnlineExtractor, from: usize) {
+        let t0 = Instant::now();
+        replay(&mut extractor, &self.raw[from..], |_, _| {});
+        self.extract_ns += t0.elapsed().as_nanos() as u64;
+        self.row = vec![0.0; extractor.n_features()];
+        self.extractor = Some(extractor);
+    }
+
+    /// Records an already-labeled historical series — the initial setup
+    /// step ("operators … label anomalies in the historical data at the
+    /// beginning", §4.1). An untrained pipeline only stores the raw
+    /// points; the first retrain extracts them.
     ///
     /// # Errors
     ///
@@ -299,9 +414,9 @@ impl Opprentice {
         series: &TimeSeries,
         labels: &Labels,
     ) -> Result<(), PipelineError> {
-        if !self.matrix.is_empty() {
+        if !self.raw.is_empty() {
             return Err(PipelineError::HistoryAfterObservations {
-                observed: self.matrix.len(),
+                observed: self.raw.len(),
             });
         }
         if series.interval() != self.interval {
@@ -316,25 +431,10 @@ impl Opprentice {
                 labels: labels.len(),
             });
         }
-        let m = self.extractor.n_features();
-        let mut ts_buf = Vec::with_capacity(HISTORY_CHUNK);
-        let mut val_buf = Vec::with_capacity(HISTORY_CHUNK);
-        let mut i = 0;
-        while i < series.len() {
-            let end = (i + HISTORY_CHUNK).min(series.len());
-            ts_buf.clear();
-            val_buf.clear();
-            for j in i..end {
-                ts_buf.push(series.timestamp_at(j));
-                val_buf.push(series.get(j));
-            }
-            let t0 = Instant::now();
-            let rows = self.extractor.observe_batch(&ts_buf, &val_buf);
-            self.extract_ns += t0.elapsed().as_nanos() as u64;
-            for (k, v) in val_buf.iter().enumerate() {
-                self.matrix.push_row(&rows[k * m..(k + 1) * m], v.is_some());
-            }
-            i = end;
+        self.raw = series.iter().collect();
+        if let Some(extractor) = self.extractor.take() {
+            // A model restored onto the empty session serves already.
+            self.install_extractor(extractor, 0);
         }
         self.truth = labels.clone();
         Ok(())
@@ -343,30 +443,34 @@ impl Opprentice {
     /// Feeds one incoming point; returns the verdict (or `None` when no
     /// classifier is trained yet or the point is missing).
     ///
-    /// This is the serving hot path: the severity row is converted once,
-    /// straight into the matrix (no per-point allocation), and the
-    /// compiled forest scores the stored row.
+    /// This is the serving hot path: the raw point is appended to the log,
+    /// and the severity row is converted once into a reused buffer (no
+    /// per-point allocation) for the compiled forest to score. Before the
+    /// first model only the raw point is recorded.
     pub fn observe(&mut self, timestamp: i64, value: Option<f64>) -> Option<Detection> {
+        self.raw.push((timestamp, value));
+        let extractor = self.extractor.as_mut()?;
         let t0 = Instant::now();
-        let row = self.extractor.observe(timestamp, value);
+        let severities = extractor.observe(timestamp, value);
         // One clock read ends extraction and starts inference.
         let t1 = Instant::now();
         self.extract_ns += (t1 - t0).as_nanos() as u64;
-        self.matrix.push_row(row, value.is_some());
-        let verdict = (|| {
-            value?;
-            let compiled = self.compiled.as_ref()?;
-            let probability = compiled.predict(self.matrix.row(self.matrix.len() - 1));
-            let cthld = self
-                .predictor
-                .predict()
-                .unwrap_or(self.config.fallback_cthld);
-            Some(Detection {
-                probability,
-                cthld,
-                is_anomaly: probability >= cthld,
-            })
-        })();
+        let verdict = match (value, self.compiled.as_ref()) {
+            (Some(_), Some(compiled)) => {
+                fill_row(&mut self.row, severities);
+                let probability = compiled.predict(&self.row);
+                let cthld = self
+                    .predictor
+                    .predict()
+                    .unwrap_or(self.config.fallback_cthld);
+                Some(Detection {
+                    probability,
+                    cthld,
+                    is_anomaly: probability >= cthld,
+                })
+            }
+            _ => None,
+        };
         self.infer_ns += t1.elapsed().as_nanos() as u64;
         verdict
     }
@@ -377,12 +481,17 @@ impl Opprentice {
     /// once per point — the batch path only shards the 133 detector
     /// configurations across a worker pool.
     pub fn observe_batch(&mut self, start: i64, values: &[Option<f64>]) -> Vec<Option<Detection>> {
-        let m = self.extractor.n_features();
         let step = i64::from(self.interval);
         let timestamps: Vec<i64> = (0..values.len() as i64).map(|i| start + i * step).collect();
+        self.raw
+            .extend(timestamps.iter().copied().zip(values.iter().copied()));
+        let Some(extractor) = self.extractor.as_mut() else {
+            return vec![None; values.len()];
+        };
+        let m = extractor.n_features();
 
         let t0 = Instant::now();
-        let rows = self.extractor.observe_batch(&timestamps, values);
+        let rows = extractor.observe_batch(&timestamps, values);
         let t1 = Instant::now();
         self.extract_ns += (t1 - t0).as_nanos() as u64;
 
@@ -393,11 +502,10 @@ impl Opprentice {
         let compiled = self.compiled.as_ref();
         let mut out = Vec::with_capacity(values.len());
         for (i, v) in values.iter().enumerate() {
-            let row = &rows[i * m..(i + 1) * m];
-            self.matrix.push_row(row, v.is_some());
             out.push(match (v, compiled) {
                 (Some(_), Some(c)) => {
-                    let probability = c.predict(self.matrix.row(self.matrix.len() - 1));
+                    fill_row(&mut self.row, &rows[i * m..(i + 1) * m]);
+                    let probability = c.predict(&self.row);
                     Some(Detection {
                         probability,
                         cthld,
@@ -420,9 +528,9 @@ impl Opprentice {
     /// Fails without modifying the pipeline if more labels arrive than
     /// there are unlabeled points.
     pub fn ingest_labels(&mut self, labels: &Labels) -> Result<(), PipelineError> {
-        if self.truth.len() + labels.len() > self.matrix.len() {
+        if self.truth.len() + labels.len() > self.raw.len() {
             return Err(PipelineError::LabelsBeyondData {
-                observed: self.matrix.len(),
+                observed: self.raw.len(),
                 labeled: self.truth.len(),
                 incoming: labels.len(),
             });
@@ -460,13 +568,16 @@ impl Opprentice {
     }
 
     /// Submits a background training job over a snapshot of the labeled
-    /// data taken *now*; [`Opprentice::observe`] / [`Opprentice::observe_batch`]
-    /// keep serving the current model (and cThld) until a later
-    /// [`Opprentice::poll_retrain`] or [`Opprentice::wait_retrain`] installs
-    /// the result. Returns the job id.
+    /// raw points taken *now*; [`Opprentice::observe`] /
+    /// [`Opprentice::observe_batch`] keep serving the current model (and
+    /// cThld) until a later [`Opprentice::poll_retrain`] or
+    /// [`Opprentice::wait_retrain`] installs the result. Returns the job id.
     ///
-    /// Labels ingested after submission do not affect the job (it trains on
-    /// the snapshot), and neither do new observations — which is what makes
+    /// The job re-extracts the labeled prefix through a fresh extractor to
+    /// rebuild the training set and the latest week's rows — bit-identical
+    /// to the rows served, since extraction is deterministic. Labels
+    /// ingested after submission do not affect the job (it trains on the
+    /// snapshot), and neither do new observations — which is what makes
     /// the swap well-defined: the trained model depends only on the labeled
     /// prefix at submission time.
     ///
@@ -474,8 +585,9 @@ impl Opprentice {
     ///
     /// [`RetrainError::AlreadyTraining`] if a job is in flight;
     /// [`RetrainError::NoLabeledAnomaly`] if the labeled data holds no
-    /// anomalous sample (the week's best-cThld harvest — step 1 — is still
-    /// applied in that case, matching the synchronous semantics).
+    /// usable anomalous sample. Nothing changes then: step 1's harvest over
+    /// the latest week could not find a best cThld either, since the week
+    /// holds no usable positive.
     pub fn start_retrain(&mut self) -> Result<u64, RetrainError> {
         if self.job.is_some() {
             return Err(RetrainError::AlreadyTraining);
@@ -483,26 +595,25 @@ impl Opprentice {
         let labeled = self.truth.len();
         let ppw = (7 * 86_400 / i64::from(self.interval)) as usize;
         let week_start = labeled.saturating_sub(ppw);
-        let old = self.compiled.clone();
+        let points = &self.raw[..labeled];
+        let flags = &self.truth.flags()[..labeled];
 
-        let (ds, _) = self.matrix.dataset(&self.truth, 0..labeled);
-        if ds.is_empty() || ds.positives() == 0 {
-            // Nothing to train on; still harvest the week's best cThld so
-            // the EWMA sees exactly what a synchronous round would apply.
-            if let Some(best) = self.harvest_week(&old, week_start, labeled) {
-                self.predictor.update(best);
-            }
+        if !points.iter().zip(flags).any(|(p, &f)| f && p.1.is_some()) {
+            // Nothing to train on. Step 1 has nothing to harvest either:
+            // the latest week is part of the labeled prefix, so its PR
+            // curve holds no usable positive and yields no best cThld —
+            // no rows need re-extracting to learn that.
             return Err(RetrainError::NoLabeledAnomaly);
         }
 
-        // Snapshot everything the job needs: the latest labeled week's
-        // rows (for the step-1 harvest under the old model) and the full
-        // labeled dataset. The old model is handed over as its compiled
-        // form, whose predictions are bit-identical to the tree walk.
-        let week_rows: Vec<Option<Vec<f64>>> = (week_start..labeled)
-            .map(|i| self.matrix.usable(i).then(|| self.matrix.row(i).to_vec()))
-            .collect();
-        let week_flags: Vec<bool> = self.truth.flags()[week_start..labeled].to_vec();
+        // Snapshot everything the job needs: the labeled raw points and
+        // their flags. The old model is handed over as its compiled form,
+        // whose predictions are bit-identical to the tree walk.
+        let points = points.to_vec();
+        let flags = flags.to_vec();
+        let old = self.compiled.clone();
+        let hand_back = self.extractor.is_none();
+        let interval = self.interval;
         let preference = self.config.preference;
         let params = self.config.forest.clone();
         let has_prediction = self.predictor.predict().is_some();
@@ -513,13 +624,10 @@ impl Opprentice {
             .name(format!("retrain-{id}"))
             .spawn(move || {
                 let t0 = Instant::now();
-                let best = old.as_ref().and_then(|old| {
-                    let scores: Vec<Option<f64>> = week_rows
-                        .iter()
-                        .map(|r| r.as_ref().map(|row| old.predict(row)))
-                        .collect();
-                    best_cthld(&pr_curve(&scores, &week_flags), &preference)
-                });
+                let (extractor, ds, scores) =
+                    reextract(interval, &points, &flags, week_start, old.as_ref());
+                // Without an old model every score is `None`: no curve, no best.
+                let best = best_cthld(&pr_curve(&scores, &flags[week_start..]), &preference);
                 let mut forest = RandomForest::new(params.clone());
                 forest.fit(&ds);
                 // 5-fold initialization only when the predictor would still
@@ -532,11 +640,16 @@ impl Opprentice {
                     init,
                     forest,
                     compiled,
+                    extractor: hand_back.then_some(extractor),
                     train_ns: t0.elapsed().as_nanos() as u64,
                 }
             })
             .expect("spawn retrain thread");
-        self.job = Some(TrainingJob { id, handle });
+        self.job = Some(TrainingJob {
+            id,
+            prefix: labeled,
+            handle,
+        });
         Ok(id)
     }
 
@@ -560,7 +673,9 @@ impl Opprentice {
         self.land_job()
     }
 
-    /// Joins the job thread and swaps its result in.
+    /// Joins the job thread and swaps its result in. The first model also
+    /// brings the serving extractor: the job's, caught up here over the
+    /// points that arrived after its snapshot.
     fn land_job(&mut self) -> Option<TrainingReport> {
         let job = self.job.take()?;
         // A panicked trainer (out of memory, poisoned data) must not take
@@ -575,6 +690,9 @@ impl Opprentice {
                 self.predictor.initialize(init);
             }
         }
+        if let (None, Some(extractor)) = (&self.extractor, outcome.extractor) {
+            self.install_extractor(extractor, job.prefix);
+        }
         self.compiled = Some(outcome.compiled);
         self.forest = Some(outcome.forest);
         self.model_version += 1;
@@ -585,26 +703,6 @@ impl Opprentice {
             cthld: self.current_cthld(),
             train_us: outcome.train_ns / 1_000,
         })
-    }
-
-    /// Step 1 of a retrain round, done synchronously: the best cThld of the
-    /// latest labeled week under the (compiled) old model.
-    fn harvest_week(
-        &self,
-        old: &Option<CompiledForest>,
-        week_start: usize,
-        labeled: usize,
-    ) -> Option<f64> {
-        let old = old.as_ref()?;
-        let scores: Vec<Option<f64>> = (week_start..labeled)
-            .map(|i| {
-                self.matrix
-                    .usable(i)
-                    .then(|| old.predict(self.matrix.row(i)))
-            })
-            .collect();
-        let flags = &self.truth.flags()[week_start..labeled];
-        best_cthld(&pr_curve(&scores, flags), &self.config.preference)
     }
 }
 
@@ -892,6 +990,86 @@ mod tests {
         opp.ingest_history(&series, &labels).unwrap();
         opp.start_retrain().unwrap();
         drop(opp); // must not deadlock or panic; the job thread detaches
+    }
+
+    fn row_bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The serving rows themselves — finer than verdicts, which a forest
+    /// quantizes — stay those of an extractor that streamed every point,
+    /// both after the first job's catch-up and after a restore replay.
+    #[test]
+    fn serving_rows_after_catch_up_and_restore_match_a_streamed_extractor() {
+        let (series, labels) = labeled_history(21);
+        let t0 = series.timestamp_at(series.len() - 1) + i64::from(INTERVAL);
+        let point = |k: i64| {
+            let spike = if k == 40 { 200.0 } else { 0.0 };
+            let v = (k % 11 != 3).then_some(100.0 + (k % 24) as f64 + spike);
+            (t0 + k * i64::from(INTERVAL), v)
+        };
+        let mut opp = Opprentice::new(INTERVAL, small_config());
+        opp.ingest_history(&series, &labels).unwrap();
+        let mut streamed = OnlineExtractor::new(INTERVAL);
+        for i in 0..series.len() {
+            streamed.observe(series.timestamp_at(i), series.get(i));
+        }
+
+        // Points that arrive while the first job trains are only recorded.
+        opp.start_retrain().unwrap();
+        for k in 0..30 {
+            let (ts, v) = point(k);
+            assert_eq!(opp.observe(ts, v), None);
+            streamed.observe(ts, v);
+        }
+        assert_eq!(opp.extract_us(), 0);
+        opp.wait_retrain().unwrap();
+        let mut want = vec![0.0; opp.row.len()];
+        for k in 30..60 {
+            let (ts, v) = point(k);
+            opp.observe(ts, v);
+            fill_row(&mut want, streamed.observe(ts, v));
+            if v.is_some() {
+                assert_eq!(row_bits(&opp.row), row_bits(&want), "point {k}");
+            }
+        }
+
+        let mut fresh = Opprentice::new(INTERVAL, small_config());
+        fresh.ingest_history(&series, &labels).unwrap();
+        for k in 0..60 {
+            let (ts, v) = point(k);
+            assert_eq!(fresh.observe(ts, v), None);
+        }
+        let forest = RandomForest::from_bytes(&opp.forest().unwrap().to_bytes()).unwrap();
+        fresh.restore_trained_state(Some(forest), opp.predicted_cthld(), 1);
+        for k in 60..90 {
+            let (ts, v) = point(k);
+            assert_eq!(opp.observe(ts, v), fresh.observe(ts, v));
+            if v.is_some() {
+                assert_eq!(row_bits(&opp.row), row_bits(&fresh.row), "point {k}");
+            }
+        }
+    }
+
+    /// A model restored onto an empty session serves from the start, so
+    /// history ingested afterwards goes through its extractor at once.
+    #[test]
+    fn history_ingested_after_a_restore_is_extracted() {
+        let (series, labels) = labeled_history(21);
+        let mut opp = Opprentice::new(INTERVAL, small_config());
+        opp.ingest_history(&series, &labels).unwrap();
+        assert!(opp.retrain());
+        let mut restored = Opprentice::new(INTERVAL, small_config());
+        let forest = RandomForest::from_bytes(&opp.forest().unwrap().to_bytes()).unwrap();
+        restored.restore_trained_state(Some(forest), opp.predicted_cthld(), 1);
+        restored.ingest_history(&series, &labels).unwrap();
+        let t0 = series.timestamp_at(series.len() - 1) + i64::from(INTERVAL);
+        for k in 0..24 {
+            let ts = t0 + k * i64::from(INTERVAL);
+            let v = Some(100.0 + (k * 7 % 24) as f64);
+            assert_eq!(opp.observe(ts, v), restored.observe(ts, v));
+            assert_eq!(row_bits(&opp.row), row_bits(&restored.row), "point {k}");
+        }
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! in `opprentice-learn` (currently OPRF v3) naturally rejects v4
 //! containers via its version check, and vice versa.
 //!
-//! Deliberately *not* captured: the detectors' sliding-window state and the
-//! feature matrix. Those are rebuilt by replaying the session's write-ahead
-//! log (cheap, deterministic), which is what guarantees a restored session
-//! scores incoming points identically to one that never crashed.
+//! Deliberately *not* captured: the raw point log and the detectors'
+//! sliding-window state. Those are rebuilt by replaying the session's
+//! write-ahead log (cheap, deterministic), which is what guarantees a
+//! restored session scores incoming points identically to one that never
+//! crashed.
 
 use crate::cthld::Preference;
 use crate::error::PipelineError;

@@ -47,8 +47,9 @@ pub struct ServerConfig {
     pub line_deadline: Duration,
     /// Connections with no complete line for this long are reaped.
     pub idle_timeout: Duration,
-    /// Lines longer than this get `ERR` + disconnect (bounds memory per
-    /// connection against garbage floods).
+    /// Lines longer than this many bytes (terminator excluded) get `ERR` +
+    /// disconnect (bounds memory per connection against garbage floods).
+    /// The cap is per line: pipelined lines may exceed it together.
     pub max_line_len: usize,
     /// Connections beyond this are answered `ERR busy` and half-closed
     /// immediately instead of degrading everyone (their input is drained
@@ -436,18 +437,22 @@ fn serve_connection(stream: TcpStream, ctx: Arc<ConnCtx>) {
                     line_started_at = Some(Instant::now());
                 }
                 buf.extend_from_slice(&scratch[..n]);
-                if buf.len() > ctx.config.max_line_len {
-                    let _ = write_line(&mut writer, "ERR line too long");
-                    break;
-                }
                 // Drain every complete line already buffered before
                 // answering, so a client that pipelines K commands costs
                 // one write syscall, not K. Lines are processed in place
                 // (borrowed slices of `buf`) — no per-line allocation.
+                // The length cap applies to each line and to the
+                // unterminated tail, never to the pipelined lines together.
+                let max = ctx.config.max_line_len;
                 let mut consumed = 0usize;
                 let mut done = false;
+                let mut too_long = false;
                 out.clear();
                 while let Some(rel) = buf[consumed..].iter().position(|&b| b == b'\n') {
+                    if rel > max {
+                        too_long = true;
+                        break;
+                    }
                     let end = consumed + rel;
                     let line = String::from_utf8_lossy(&buf[consumed..end]);
                     consumed = end + 1;
@@ -487,6 +492,10 @@ fn serve_connection(stream: TcpStream, ctx: Arc<ConnCtx>) {
                         done = true;
                         break;
                     }
+                }
+                if too_long || (!done && buf.len() - consumed > max) {
+                    out.extend_from_slice(b"ERR line too long\n");
+                    done = true;
                 }
                 if consumed > 0 {
                     buf.drain(..consumed);
@@ -1038,7 +1047,9 @@ mod tests {
     }
 
     /// STATUS exposes the session's cumulative extraction and inference
-    /// wall-clock, so operators can see where serving time goes. Under
+    /// wall-clock, so operators can see where serving time goes.
+    /// Extraction starts with the first model (the retrain job's own
+    /// re-extraction is training time). Under
     /// the fused batch path the family kernels run concurrently on the
     /// extraction pool: the counter must report the *caller-experienced*
     /// latency of the batch call, never the summed per-worker CPU time —
@@ -1066,15 +1077,31 @@ mod tests {
                 .unwrap_or_else(|| panic!("no {key} in {status}"))
         }
 
-        // Feeding points advances the extraction counter monotonically.
+        // An untrained session only records raw points: nothing is
+        // extracted until the first model lands.
         for i in 0..64 {
             assert!(c
                 .send(&format!("OBS {} {}.0", i * 60, 100 + i % 7))
                 .starts_with("OK"));
         }
         let status = c.send("STATUS");
+        assert_eq!(counter(&status, "extract_us="), 0, "{status}");
+        let flags: String = (0..64)
+            .map(|i| if i % 7 == 6 { '1' } else { '0' })
+            .collect();
+        assert!(c.send(&format!("LABEL {flags}")).starts_with("OK"));
+        retrain_and_wait(&mut c);
+        let trained = counter(&c.send("STATUS"), "extract_us=");
+
+        // Serving points advances the extraction counter monotonically.
+        for i in 64..128 {
+            assert!(c
+                .send(&format!("OBS {} {}.0", i * 60, 100 + i % 7))
+                .starts_with("OK"));
+        }
+        let status = c.send("STATUS");
         let after_obs = counter(&status, "extract_us=");
-        assert!(after_obs > 0, "{status}");
+        assert!(after_obs > trained, "{status}");
 
         // Batches large enough to take the worker-pool path (with several
         // shards extracting concurrently).
@@ -1083,7 +1110,7 @@ mod tests {
             assert!(c
                 .send(&format!(
                     "OBSB {} {}",
-                    (64 + round * 64) * 60,
+                    (128 + round * 64) * 60,
                     batch.join(" ")
                 ))
                 .starts_with("OK"));
@@ -1249,6 +1276,36 @@ mod tests {
         let mut c = Client::connect(handle.addr());
         c.writer.write_all(&vec![b'A'; 256]).unwrap();
         c.writer.flush().unwrap();
+        assert_eq!(c.read_line(), "ERR line too long");
+        assert_eq!(c.read_line(), ""); // EOF
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// The cap bounds one line, not one read: legal lines pipelined in a
+    /// single write that together exceed it are all answered, and an
+    /// overlong line behind legal ones is rejected only after they are.
+    #[test]
+    fn pipelined_lines_under_the_cap_are_accepted() {
+        let config = ServerConfig {
+            max_line_len: 64,
+            ..test_config()
+        };
+        let (handle, join) = start_server(config);
+        let mut c = Client::connect(handle.addr());
+        c.writer
+            .write_all("STATUS\n".repeat(20).as_bytes())
+            .unwrap();
+        c.writer.flush().unwrap();
+        for _ in 0..20 {
+            assert!(c.read_line().starts_with("OK observed=0"));
+        }
+        let mut mixed = b"STATUS\n".to_vec();
+        mixed.extend_from_slice(&[b'A'; 65]);
+        mixed.push(b'\n');
+        c.writer.write_all(&mixed).unwrap();
+        c.writer.flush().unwrap();
+        assert!(c.read_line().starts_with("OK observed=0"));
         assert_eq!(c.read_line(), "ERR line too long");
         assert_eq!(c.read_line(), ""); // EOF
         handle.shutdown();

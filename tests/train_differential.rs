@@ -22,6 +22,12 @@
 //! exact split search, dataset size) and explicit thread counts — *not*
 //! `available_parallelism`, so the grid exercises real multi-threading
 //! even on single-core CI hosts.
+//!
+//! The second half proves the training *data* is what it always was: a
+//! pipeline keeps raw points and re-extracts its labeled history inside
+//! each retrain job, and must train the same forests, predict the same
+//! cThld and serve the same verdict bits as a reference that stores
+//! every streamed feature row (see "Re-extraction differential" below).
 
 use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams};
 use rand::rngs::StdRng;
@@ -161,4 +167,425 @@ fn more_threads_than_trees_is_equivalent() {
         &probes,
         "256 threads, 3 trees",
     );
+}
+
+// ---------------------------------------------------------------------------
+// Re-extraction differential.
+//
+// A pipeline keeps raw points, not severity rows: each retrain replays the
+// labeled raw prefix through a fresh extractor inside the job, and nothing
+// is extracted until the first model lands. The reference below is the
+// stored-row design it replaced — every point streamed once through its
+// own `OnlineExtractor` into a `FeatureMatrix`, training sets cut from the
+// stored rows. Forest bytes, cThld predictions and verdict bits must agree.
+// ---------------------------------------------------------------------------
+
+use opprentice::cthld::best_cthld;
+use opprentice::features::{FeatureMatrix, OnlineExtractor};
+use opprentice::predictor::{five_fold_cthld, EwmaCthldPredictor};
+use opprentice::{Detection, Opprentice, OpprenticeConfig};
+use opprentice_learn::metrics::pr_curve;
+use opprentice_learn::CompiledForest;
+use opprentice_timeseries::{Labels, TimeSeries};
+
+const HOUR: u32 = 3600;
+
+fn pipeline_config() -> OpprenticeConfig {
+    OpprenticeConfig {
+        forest: RandomForestParams {
+            n_trees: 8,
+            seed: 17,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+/// Point `i` of an hourly KPI: a daily pattern with seeded noise, labeled
+/// two-point spikes, and a few multi-hour gaps of missing values.
+fn kpi_point(i: usize) -> (Option<f64>, bool) {
+    let noise = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64 / (1u64 << 24) as f64;
+    let base = 100.0 + 20.0 * ((i % 24) as f64 / 24.0 * std::f64::consts::TAU).sin() + 4.0 * noise;
+    let anomalous = i % 71 == 40 || i % 71 == 41;
+    if i % 97 >= 90 {
+        // A burst of missing values; spikes inside it are labeled but
+        // unusable.
+        return (None, anomalous);
+    }
+    (Some(if anomalous { base + 130.0 } else { base }), anomalous)
+}
+
+fn ts(i: usize) -> i64 {
+    i as i64 * i64::from(HOUR)
+}
+
+/// The stored-row pipeline: streams every point through its extractor,
+/// keeps every row, trains on rows cut from the matrix.
+struct Reference {
+    config: OpprenticeConfig,
+    extractor: OnlineExtractor,
+    matrix: FeatureMatrix,
+    truth: Vec<bool>,
+    forest: Option<RandomForest>,
+    compiled: Option<CompiledForest>,
+    predictor: EwmaCthldPredictor,
+}
+
+/// A reference training round computed at submission, installed later.
+struct Round {
+    best: Option<f64>,
+    init: Option<f64>,
+    forest: RandomForest,
+}
+
+impl Reference {
+    fn new(config: OpprenticeConfig) -> Reference {
+        let extractor = OnlineExtractor::new(HOUR);
+        let matrix = FeatureMatrix::new(extractor.labels());
+        let predictor = EwmaCthldPredictor::new(config.cthld_alpha);
+        Reference {
+            config,
+            extractor,
+            matrix,
+            truth: Vec::new(),
+            forest: None,
+            compiled: None,
+            predictor,
+        }
+    }
+
+    fn observe(&mut self, timestamp: i64, value: Option<f64>) -> Option<Detection> {
+        let row = self.extractor.observe(timestamp, value);
+        self.matrix.push_row(row, value.is_some());
+        value?;
+        let probability = self
+            .compiled
+            .as_ref()?
+            .predict(self.matrix.row(self.matrix.len() - 1));
+        let cthld = self
+            .predictor
+            .predict()
+            .unwrap_or(self.config.fallback_cthld);
+        Some(Detection {
+            probability,
+            cthld,
+            is_anomaly: probability >= cthld,
+        })
+    }
+
+    /// Steps 1–3 of a retrain over the stored rows of the labeled prefix;
+    /// `None` (after applying the week's harvest) without a usable positive.
+    fn submit(&mut self) -> Option<Round> {
+        let labeled = self.truth.len();
+        let week_start = labeled.saturating_sub(7 * 24);
+        let labels = Labels::from_flags(self.truth.clone());
+        let (ds, _) = self.matrix.dataset(&labels, 0..labeled);
+        let best = self.compiled.as_ref().and_then(|old| {
+            let scores: Vec<Option<f64>> = (week_start..labeled)
+                .map(|i| {
+                    self.matrix
+                        .usable(i)
+                        .then(|| old.predict(self.matrix.row(i)))
+                })
+                .collect();
+            best_cthld(
+                &pr_curve(&scores, &self.truth[week_start..labeled]),
+                &self.config.preference,
+            )
+        });
+        if ds.positives() == 0 {
+            if let Some(best) = best {
+                self.predictor.update(best);
+            }
+            return None;
+        }
+        let mut forest = RandomForest::new(self.config.forest.clone());
+        forest.fit(&ds);
+        let init = (self.predictor.predict().is_none() && best.is_none())
+            .then(|| five_fold_cthld(&ds, &self.config.preference, &self.config.forest));
+        Some(Round { best, init, forest })
+    }
+
+    fn land(&mut self, round: Round) {
+        if let Some(best) = round.best {
+            self.predictor.update(best);
+        }
+        if self.predictor.predict().is_none() {
+            if let Some(init) = round.init {
+                self.predictor.initialize(init);
+            }
+        }
+        self.compiled = Some(round.forest.compile());
+        self.forest = Some(round.forest);
+    }
+
+    fn retrain(&mut self) {
+        let round = self.submit().expect("reference has a usable positive");
+        self.land(round);
+    }
+}
+
+/// Both sides hold the same model and cThld prediction.
+fn assert_same_model(p: &Opprentice, r: &Reference, what: &str) {
+    assert_eq!(
+        p.forest().map(RandomForest::to_bytes),
+        r.forest.as_ref().map(RandomForest::to_bytes),
+        "{what}: forest bytes"
+    );
+    assert_eq!(
+        p.predicted_cthld().map(f64::to_bits),
+        r.predictor.predict().map(f64::to_bits),
+        "{what}: cThld prediction"
+    );
+    assert_eq!(
+        p.current_cthld().to_bits(),
+        r.predictor
+            .predict()
+            .unwrap_or(r.config.fallback_cthld)
+            .to_bits(),
+        "{what}: current cThld"
+    );
+}
+
+fn assert_same_verdict(a: Option<Detection>, b: Option<Detection>, what: &str) {
+    assert_eq!(a, b, "{what}");
+    assert_eq!(
+        a.map(|d| d.probability.to_bits()),
+        b.map(|d| d.probability.to_bits()),
+        "{what}: probability bits"
+    );
+}
+
+/// Serves points `range` to both sides; the pipeline alternates single
+/// `observe` calls with `observe_batch` runs of varying length.
+fn serve_mixed(p: &mut Opprentice, r: &mut Reference, range: std::ops::Range<usize>) {
+    let mut i = range.start;
+    let mut call = 0usize;
+    while i < range.end {
+        let len = [1, 30, 1, 1, 7, 64][call % 6].min(range.end - i);
+        call += 1;
+        let values: Vec<Option<f64>> = (i..i + len).map(|k| kpi_point(k).0).collect();
+        let got = if len == 1 {
+            vec![p.observe(ts(i), values[0])]
+        } else {
+            p.observe_batch(ts(i), &values)
+        };
+        for (k, v) in values.iter().enumerate() {
+            let want = r.observe(ts(i + k), *v);
+            assert_same_verdict(got[k], want, &format!("point {}", i + k));
+        }
+        i += len;
+    }
+}
+
+fn label_range(p: &mut Opprentice, r: &mut Reference, range: std::ops::Range<usize>) {
+    let flags: Vec<bool> = range.map(|i| kpi_point(i).1).collect();
+    r.truth.extend_from_slice(&flags);
+    p.ingest_labels(&Labels::from_flags(flags)).unwrap();
+}
+
+fn history(n: usize) -> (TimeSeries, Labels) {
+    let mut series = TimeSeries::new(0, HOUR);
+    let mut labels = Labels::all_normal(0);
+    for i in 0..n {
+        let (v, anomalous) = kpi_point(i);
+        match v {
+            Some(v) => series.push(v),
+            None => series.push_missing(),
+        }
+        labels.push(anomalous);
+    }
+    (series, labels)
+}
+
+const HISTORY: usize = 21 * 24;
+const WEEK: usize = 7 * 24;
+
+/// A pipeline and a reference that both hold `HISTORY` labeled points,
+/// the pipeline via `ingest_history` (raw points only, nothing extracted).
+fn onboarded() -> (Opprentice, Reference) {
+    let (series, labels) = history(HISTORY);
+    let mut p = Opprentice::new(HOUR, pipeline_config());
+    p.ingest_history(&series, &labels).unwrap();
+    assert_eq!(p.extract_us(), 0, "untrained history must not be extracted");
+    let mut r = Reference::new(pipeline_config());
+    for i in 0..HISTORY {
+        r.observe(ts(i), kpi_point(i).0);
+    }
+    r.truth = labels.flags().to_vec();
+    (p, r)
+}
+
+/// FNV-1a over the bits of every usable row.
+fn row_hash(rows: impl Iterator<Item = Vec<f64>>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for row in rows {
+        for v in row {
+            for b in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Replaying the raw prefix in the pipeline's retrain chunks gives the
+/// streamed rows bit for bit.
+#[test]
+fn reextracted_prefix_hashes_like_the_streamed_rows() {
+    let (_, r) = onboarded();
+    let mut replayed = OnlineExtractor::new(HOUR);
+    let m = replayed.n_features();
+    let mut rows = Vec::new();
+    for chunk in (0..HISTORY).collect::<Vec<_>>().chunks(256) {
+        let t: Vec<i64> = chunk.iter().map(|&i| ts(i)).collect();
+        let v: Vec<Option<f64>> = chunk.iter().map(|&i| kpi_point(i).0).collect();
+        let out = replayed.observe_batch(&t, &v);
+        for (k, value) in v.iter().enumerate() {
+            if value.is_some() {
+                rows.push(
+                    out[k * m..(k + 1) * m]
+                        .iter()
+                        .map(|s| s.unwrap_or(0.0))
+                        .collect(),
+                );
+            }
+        }
+    }
+    let streamed = (0..r.matrix.len())
+        .filter(|&i| r.matrix.usable(i))
+        .map(|i| r.matrix.row(i).to_vec());
+    assert_eq!(row_hash(rows.into_iter()), row_hash(streamed));
+}
+
+/// Served points that were later labeled feed two more retrains, through
+/// mixed single and batched calls with missing-value bursts.
+#[test]
+fn retrains_over_served_points_match_the_stored_row_reference() {
+    let (mut p, mut r) = onboarded();
+    assert!(p.retrain());
+    r.retrain();
+    assert_same_model(&p, &r, "first retrain");
+
+    let mut end = HISTORY;
+    for round in 0..2 {
+        serve_mixed(&mut p, &mut r, end..end + WEEK);
+        label_range(&mut p, &mut r, end..end + WEEK);
+        end += WEEK;
+        assert!(p.retrain());
+        r.retrain();
+        assert_same_model(&p, &r, &format!("retrain over served week {round}"));
+    }
+    serve_mixed(&mut p, &mut r, end..end + 48);
+    assert_eq!(p.observed_len(), r.matrix.len());
+}
+
+/// Points served while the first job is in flight are recorded raw and
+/// answered pending; the landing catches the job's extractor up over them.
+#[test]
+fn points_served_during_the_first_job_are_caught_up() {
+    let (mut p, mut r) = onboarded();
+    p.start_retrain().unwrap();
+    let round = r.submit().unwrap();
+    for i in HISTORY..HISTORY + 40 {
+        let v = kpi_point(i).0;
+        assert_eq!(p.observe(ts(i), v), None, "pending while untrained");
+        assert_eq!(r.observe(ts(i), v), None);
+    }
+    let values: Vec<Option<f64>> = (HISTORY + 40..HISTORY + 70)
+        .map(|i| kpi_point(i).0)
+        .collect();
+    assert!(p
+        .observe_batch(ts(HISTORY + 40), &values)
+        .iter()
+        .all(Option::is_none));
+    for (k, v) in values.iter().enumerate() {
+        r.observe(ts(HISTORY + 40 + k), *v);
+    }
+    p.wait_retrain().unwrap();
+    r.land(round);
+    assert_same_model(&p, &r, "first model");
+    serve_mixed(&mut p, &mut r, HISTORY + 70..HISTORY + WEEK);
+    label_range(&mut p, &mut r, HISTORY..HISTORY + WEEK);
+    assert!(p.retrain());
+    r.retrain();
+    assert_same_model(&p, &r, "second model");
+    serve_mixed(&mut p, &mut r, HISTORY + WEEK..HISTORY + WEEK + 48);
+}
+
+/// A restored model on a session that has only recorded raw points makes
+/// the restore replay them: verdicts continue as if it had always served.
+#[test]
+fn restore_on_an_unextracted_session_replays_the_raw_log() {
+    let (mut trained, mut r) = onboarded();
+    assert!(trained.retrain());
+    r.retrain();
+    let (mut fresh, _) = onboarded();
+    // More raw points, before and after the model comes back.
+    for i in HISTORY..HISTORY + 20 {
+        let v = kpi_point(i).0;
+        assert_eq!(fresh.observe(ts(i), v), None);
+        r.observe(ts(i), v);
+    }
+    assert_eq!(fresh.extract_us(), 0);
+    let forest = RandomForest::from_bytes(&trained.forest().unwrap().to_bytes()).unwrap();
+    fresh.restore_trained_state(
+        Some(forest),
+        trained.predicted_cthld(),
+        trained.model_version(),
+    );
+    assert_same_model(&fresh, &r, "restored");
+    serve_mixed(&mut fresh, &mut r, HISTORY + 20..HISTORY + 20 + WEEK);
+    label_range(&mut fresh, &mut r, HISTORY..HISTORY + 20 + WEEK);
+    assert!(fresh.retrain());
+    r.retrain();
+    assert_same_model(&fresh, &r, "retrained after restore");
+}
+
+/// A retrain whose labeled prefix holds no usable anomaly, on a session
+/// that already serves a model, changes nothing — the reference still
+/// runs the old model over the week's stored rows, and finds no best
+/// cThld to apply either.
+#[test]
+fn retrain_without_usable_anomaly_matches_the_reference_harvest() {
+    let (trained, mut donor) = onboarded();
+    drop(trained);
+    donor.retrain();
+
+    // Same points, but every anomaly flag sits on a missing value only.
+    let flags: Vec<bool> = (0..HISTORY)
+        .map(|i| kpi_point(i).1 && kpi_point(i).0.is_none())
+        .collect();
+    let (series, _) = history(HISTORY);
+    let mut p = Opprentice::new(HOUR, pipeline_config());
+    p.ingest_history(&series, &Labels::from_flags(flags.clone()))
+        .unwrap();
+    let mut r = Reference::new(pipeline_config());
+    for i in 0..HISTORY {
+        r.observe(ts(i), kpi_point(i).0);
+    }
+    r.truth = flags;
+    let bytes = donor.forest.as_ref().unwrap().to_bytes();
+    let prediction = donor.predictor.predict();
+    p.restore_trained_state(
+        Some(RandomForest::from_bytes(&bytes).unwrap()),
+        prediction,
+        1,
+    );
+    let forest = RandomForest::from_bytes(&bytes).unwrap();
+    r.compiled = Some(forest.compile());
+    r.forest = Some(forest);
+    if let Some(c) = prediction {
+        r.predictor.initialize(c);
+    }
+    assert_same_model(&p, &r, "restored");
+
+    assert_eq!(
+        p.start_retrain(),
+        Err(opprentice::RetrainError::NoLabeledAnomaly)
+    );
+    assert!(r.submit().is_none());
+    assert_eq!(p.model_version(), 1);
+    assert_same_model(&p, &r, "after the no-anomaly retrain");
+    serve_mixed(&mut p, &mut r, HISTORY..HISTORY + 48);
 }
