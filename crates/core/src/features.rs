@@ -13,11 +13,13 @@
 //! ([`opprentice_detectors::fused::plan`]): one structure-of-arrays kernel
 //! per detector family that advances all of the family's parameter
 //! configurations per point (bit-identical to the per-config scalar path).
-//! Units are assigned to worker shards by a **cost model** — longest-
-//! processing-time greedy over each unit's estimated ns/point, seeded from
-//! offline measurements and replaced by live per-unit timings as batches
-//! flow — so one slow family (ARIMA, SVD) does not serialize the batch
-//! behind a shard full of cheap lanes. Placement is pure scheduling:
+//! Units are assigned to worker shards by longest-processing-time greedy
+//! over each unit's **measured** ns/point, so one slow family (ARIMA, SVD)
+//! does not serialize the batch behind a shard full of cheap lanes. A fresh
+//! extractor has no timings: every unit starts on the first shard, so the
+//! first batch runs on the caller's thread, and its timings place the
+//! units; they are re-placed from the running timings every
+//! `REBALANCE_POINTS` batched points. Placement is pure scheduling:
 //! every unit's state advances sequentially wherever it runs, so shard
 //! count, shard assignment and rebalancing never change a single output
 //! bit. The worker-pool width honours the process-wide
@@ -198,24 +200,40 @@ impl FeatureMatrix {
 pub fn extract_with(configs: Vec<ConfiguredDetector>, series: &TimeSeries) -> FeatureMatrix {
     let mut extractor = OnlineExtractor::with_configs(configs);
     let mut matrix = FeatureMatrix::new(extractor.labels());
-    let timestamps: Vec<i64> = series.iter().map(|(ts, _)| ts).collect();
-    let values: Vec<Option<f64>> = series.iter().map(|(_, v)| v).collect();
-    let m = extractor.n_features();
-    let mut start = 0;
-    while start < timestamps.len() {
-        let end = (start + OFFLINE_CHUNK).min(timestamps.len());
-        let rows = extractor.observe_batch(&timestamps[start..end], &values[start..end]);
-        for (i, point) in (start..end).enumerate() {
-            matrix.push_row(&rows[i * m..(i + 1) * m], !series.is_missing(point));
-        }
-        start = end;
-    }
+    let points: Vec<(i64, Option<f64>)> = series.iter().collect();
+    replay(&mut extractor, &points, |i, severities| {
+        matrix.push_row(severities, points[i].1.is_some());
+    });
     matrix
 }
 
-/// Chunk size for offline extraction — large enough to amortize worker
-/// hand-off, small enough to keep every shard's block in cache.
-const OFFLINE_CHUNK: usize = 512;
+/// Points per batch when [`replay`] streams a history through an
+/// extractor — large enough to amortize worker hand-off, small enough to
+/// keep every shard's block in cache.
+const REPLAY_CHUNK: usize = 256;
+
+/// Streams raw points through `extractor` in [`REPLAY_CHUNK`] batches,
+/// handing each point's index and severity row to `visit`. Chunking never
+/// changes a severity.
+pub(crate) fn replay(
+    extractor: &mut OnlineExtractor,
+    points: &[(i64, Option<f64>)],
+    mut visit: impl FnMut(usize, &[Option<f64>]),
+) {
+    let m = extractor.n_features();
+    let mut ts_buf = Vec::with_capacity(REPLAY_CHUNK);
+    let mut val_buf = Vec::with_capacity(REPLAY_CHUNK);
+    for (c, chunk) in points.chunks(REPLAY_CHUNK).enumerate() {
+        ts_buf.clear();
+        val_buf.clear();
+        ts_buf.extend(chunk.iter().map(|p| p.0));
+        val_buf.extend(chunk.iter().map(|p| p.1));
+        let rows = extractor.observe_batch(&ts_buf, &val_buf);
+        for k in 0..chunk.len() {
+            visit(c * REPLAY_CHUNK + k, &rows[k * m..(k + 1) * m]);
+        }
+    }
+}
 
 /// Runs the full Table 3 registry (133 configurations) over the series.
 pub fn extract_features(series: &TimeSeries) -> FeatureMatrix {
@@ -225,10 +243,6 @@ pub fn extract_features(series: &TimeSeries) -> FeatureMatrix {
 /// Batches below this size are extracted inline — worker hand-off costs
 /// more than it buys on a handful of points.
 const MIN_PARALLEL_BATCH: usize = 4;
-
-/// Live measurements below this many points fall back to the seed cost —
-/// a couple of cold batches are dominated by cache warm-up.
-const MIN_MEASURED_POINTS: u64 = 1024;
 
 /// Shards are re-packed from live unit timings every this many points.
 const REBALANCE_POINTS: u64 = 4096;
@@ -242,13 +256,9 @@ struct Unit {
 }
 
 impl Unit {
-    /// Estimated ns/point: live measurement once warm, seed cost before.
+    /// Measured ns/point; 0 until the unit has run a batch.
     fn cost_estimate(&self) -> f64 {
-        if self.measured_pts >= MIN_MEASURED_POINTS {
-            self.measured_ns as f64 / self.measured_pts as f64
-        } else {
-            self.inner.seed_cost_ns
-        }
+        self.measured_ns as f64 / self.measured_pts.max(1) as f64
     }
 }
 
@@ -279,7 +289,9 @@ impl Shard {
             let k = unit.inner.columns.len();
             let block = &mut self.out[offset * n..(offset + k) * n];
             let t0 = Instant::now();
-            unit.inner.kernel.observe_batch(timestamps, values, block);
+            for ((&ts, &v), row) in timestamps.iter().zip(values).zip(block.chunks_exact_mut(k)) {
+                unit.inner.kernel.observe(ts, v, row);
+            }
             unit.measured_ns += t0.elapsed().as_nanos() as u64;
             unit.measured_pts += n as u64;
             offset += k;
@@ -437,30 +449,9 @@ impl OnlineExtractor {
     ///
     /// # Panics
     ///
-    /// Panics if `configs` is empty, or if members of a scheduling group
-    /// are not adjacent (state-sharing detectors must stay in lockstep;
-    /// keep registry order when pruning).
+    /// Panics if `configs` is empty.
     pub fn with_configs(mut configs: Vec<ConfiguredDetector>) -> Self {
         assert!(!configs.is_empty(), "need at least one configuration");
-        // Group members must be adjacent: a group id may not reappear
-        // after a different one intervened.
-        {
-            let mut seen_after_switch: Vec<usize> = Vec::new();
-            let mut current = None;
-            for c in &configs {
-                if current != Some(c.group) {
-                    assert!(
-                        !seen_after_switch.contains(&c.group),
-                        "scheduling group {} split by reordering",
-                        c.group
-                    );
-                    if let Some(prev) = current {
-                        seen_after_switch.push(prev);
-                    }
-                    current = Some(c.group);
-                }
-            }
-        }
         let labels: Vec<String> = configs.iter().map(ConfiguredDetector::label).collect();
         let m = configs.len();
         for (column, cfg) in configs.iter_mut().enumerate() {
@@ -497,7 +488,8 @@ impl OnlineExtractor {
             scratch: vec![None; scratch_width],
             batch: Vec::new(),
             pool: None,
-            points_since_rebalance: 0,
+            // Due at once: the first batch's timings place the units.
+            points_since_rebalance: REBALANCE_POINTS,
         }
     }
 
@@ -547,9 +539,10 @@ impl OnlineExtractor {
     }
 
     /// Re-packs units onto shards from the live cost estimates. Called
-    /// automatically every [`REBALANCE_POINTS`] batched points; public so
-    /// benchmarks and tests can force it. Never changes extraction output
-    /// — placement is pure scheduling.
+    /// automatically after the first batch and then every
+    /// [`REBALANCE_POINTS`] batched points; public so benchmarks and tests
+    /// can force it. Never changes extraction output — placement is pure
+    /// scheduling.
     pub fn rebalance_now(&mut self) {
         let n_shards = self.shards.len();
         if n_shards < 2 {
@@ -606,7 +599,7 @@ impl OnlineExtractor {
             return &self.batch;
         }
 
-        if n < MIN_PARALLEL_BATCH || self.shards.len() < 2 {
+        if n < MIN_PARALLEL_BATCH || self.shards[1..].iter().all(|s| s.units.is_empty()) {
             for shard in &mut self.shards {
                 shard.run(timestamps, values);
             }

@@ -9,16 +9,13 @@
 
 use crate::cthld::{best_cthld, Preference};
 use crate::error::PipelineError;
-use crate::features::OnlineExtractor;
+use crate::features::{replay, OnlineExtractor};
 use crate::predictor::{five_fold_cthld, EwmaCthldPredictor};
 use opprentice_learn::metrics::pr_curve;
 use opprentice_learn::{Classifier, CompiledForest, Dataset, RandomForest, RandomForestParams};
 use opprentice_timeseries::{Labels, TimeSeries};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Points per chunk when replaying history through the batch extractor.
-const HISTORY_CHUNK: usize = 256;
 
 /// Configuration of an [`Opprentice`] instance.
 #[derive(Debug, Clone)]
@@ -173,28 +170,6 @@ fn fill_row(dst: &mut [f64], severities: &[Option<f64>]) {
     }
 }
 
-/// Streams raw points through `extractor` in [`HISTORY_CHUNK`] batches,
-/// handing each point's index and severity row to `visit`.
-fn replay(
-    extractor: &mut OnlineExtractor,
-    points: &[(i64, Option<f64>)],
-    mut visit: impl FnMut(usize, &[Option<f64>]),
-) {
-    let m = extractor.n_features();
-    let mut ts_buf = Vec::with_capacity(HISTORY_CHUNK);
-    let mut val_buf = Vec::with_capacity(HISTORY_CHUNK);
-    for (c, chunk) in points.chunks(HISTORY_CHUNK).enumerate() {
-        ts_buf.clear();
-        val_buf.clear();
-        ts_buf.extend(chunk.iter().map(|p| p.0));
-        val_buf.extend(chunk.iter().map(|p| p.1));
-        let rows = extractor.observe_batch(&ts_buf, &val_buf);
-        for k in 0..chunk.len() {
-            visit(c * HISTORY_CHUNK + k, &rows[k * m..(k + 1) * m]);
-        }
-    }
-}
-
 /// Re-extracts the labeled prefix for a retrain round: the training set
 /// (every usable point, in order — exactly what `FeatureMatrix::dataset`
 /// over streamed rows builds) and, when `old` is given, the old model's
@@ -298,20 +273,10 @@ impl Opprentice {
     /// This is the *caller-experienced* latency of extraction calls: under
     /// the fused batch path the family kernels run concurrently on the
     /// worker pool, so this is less than the summed kernel time. Per-family
-    /// CPU attribution lives in [`Opprentice::family_stats`].
+    /// CPU attribution lives in
+    /// [`OnlineExtractor::family_stats`](crate::features::OnlineExtractor::family_stats).
     pub fn extract_us(&self) -> u64 {
         self.extract_ns / 1_000
-    }
-
-    /// Measured per-family extraction cost of the serving extractor
-    /// (kernel CPU time over the batched path), aggregated across each
-    /// family's fused units — see [`crate::features::FamilyStat`]. Empty
-    /// until the first model lands.
-    pub fn family_stats(&self) -> Vec<crate::features::FamilyStat> {
-        self.extractor
-            .as_ref()
-            .map(OnlineExtractor::family_stats)
-            .unwrap_or_default()
     }
 
     /// Cumulative wall-clock microseconds spent scoring (row conversion +

@@ -40,7 +40,7 @@ use crate::cthld::Preference;
 use crate::error::PipelineError;
 use crate::{Opprentice, OpprenticeConfig};
 use bytes::{Buf, BufMut};
-use opprentice_learn::persist::PersistError;
+use opprentice_learn::persist::{decode_params, encode_params, PersistError};
 use opprentice_learn::{RandomForest, RandomForestParams};
 use opprentice_timeseries::Labels;
 
@@ -157,20 +157,7 @@ impl SessionSnapshot {
         out.put_f64_le(self.preference.precision);
         out.put_f64_le(self.cthld_alpha);
         out.put_f64_le(self.fallback_cthld);
-        let p = &self.forest_params;
-        out.put_u32_le(p.n_trees as u32);
-        out.put_f64_le(p.sample_fraction);
-        out.put_u64_le(p.seed);
-        let opt = u8::from(p.max_features.is_some())
-            | u8::from(p.max_depth.is_some()) << 1
-            | u8::from(p.n_bins.is_some()) << 2;
-        out.put_u8(opt);
-        for field in [p.max_features, p.max_depth, p.n_bins]
-            .into_iter()
-            .flatten()
-        {
-            out.put_u32_le(field as u32);
-        }
+        encode_params(&self.forest_params, &mut out);
         match self.prediction {
             Some(c) => {
                 out.put_u8(1);
@@ -217,9 +204,8 @@ impl SessionSnapshot {
         if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        // Fixed-width prefix: interval + 4 f64 + n_trees + sample_fraction
-        // + seed + opt byte.
-        if buf.remaining() < 4 + 8 * 4 + 4 + 8 + 8 + 1 {
+        // Fixed-width prefix: interval + 4 f64.
+        if buf.remaining() < 4 + 8 * 4 {
             return Err(SnapshotError::Truncated);
         }
         let interval = buf.get_u32_le();
@@ -240,36 +226,11 @@ impl SessionSnapshot {
                 return Err(SnapshotError::BadField(name));
             }
         }
-        let n_trees = buf.get_u32_le() as usize;
-        let sample_fraction = buf.get_f64_le();
-        if !(sample_fraction.is_finite() && sample_fraction > 0.0) {
-            return Err(SnapshotError::BadField("sample_fraction"));
-        }
-        let seed = buf.get_u64_le();
-        let opt = buf.get_u8();
-        if opt > 0b111 {
-            return Err(SnapshotError::BadField("optional-params bitmap"));
-        }
-        let mut opt_field = |bit: u8| -> Result<Option<usize>, SnapshotError> {
-            if opt & (1 << bit) == 0 {
-                return Ok(None);
-            }
-            if buf.remaining() < 4 {
-                return Err(SnapshotError::Truncated);
-            }
-            Ok(Some(buf.get_u32_le() as usize))
-        };
-        let max_features = opt_field(0)?;
-        let max_depth = opt_field(1)?;
-        let n_bins = opt_field(2)?;
-        let forest_params = RandomForestParams {
-            n_trees,
-            max_features,
-            sample_fraction,
-            max_depth,
-            n_bins,
-            seed,
-        };
+        let forest_params = decode_params(&mut buf).map_err(|e| match e {
+            PersistError::Truncated => SnapshotError::Truncated,
+            PersistError::BadParam(name) => SnapshotError::BadField(name),
+            other => SnapshotError::Forest(other),
+        })?;
 
         if buf.remaining() < 1 {
             return Err(SnapshotError::Truncated);
@@ -451,6 +412,62 @@ mod tests {
         assert_eq!(back.wal_seq, 673);
         assert_eq!(back.n_observed, opp.observed_len() as u64);
         assert_eq!(back.model_version, 1);
+    }
+
+    /// The container is a stored format: a captured snapshot's bytes follow
+    /// the layout in the module docs field for field, params block included.
+    #[test]
+    fn captured_bytes_follow_the_documented_layout() {
+        let config = OpprenticeConfig {
+            preference: Preference {
+                recall: 0.75,
+                precision: 0.5,
+            },
+            forest: RandomForestParams {
+                n_trees: 7,
+                max_features: Some(11),
+                sample_fraction: 0.5,
+                max_depth: None,
+                n_bins: Some(32),
+                seed: 9,
+            },
+            cthld_alpha: 0.8,
+            fallback_cthld: 0.5,
+        };
+        let mut opp = Opprentice::new(INTERVAL, config);
+        for i in 0..10 {
+            opp.observe(i * i64::from(INTERVAL), Some(1.0));
+        }
+        let flags = vec![true, false, false, true, true, false, false, false, true];
+        opp.ingest_labels(&Labels::from_flags(flags)).unwrap();
+        opp.restore_trained_state(None, Some(0.25), 3);
+        let expected: Vec<u8> = [
+            &b"OPRF"[..],
+            &4u16.to_le_bytes(),
+            &INTERVAL.to_le_bytes(),
+            &0.75f64.to_le_bytes(),
+            &0.5f64.to_le_bytes(),
+            &0.8f64.to_le_bytes(),
+            &0.5f64.to_le_bytes(),
+            // n_trees, sample_fraction, seed, opt = max_features | n_bins.
+            &7u32.to_le_bytes(),
+            &0.5f64.to_le_bytes(),
+            &9u64.to_le_bytes(),
+            &[0b101],
+            &11u32.to_le_bytes(),
+            &32u32.to_le_bytes(),
+            &[1],
+            &0.25f64.to_le_bytes(),
+            // n_observed, wal_seq, model_version, then 9 packed labels.
+            &10u64.to_le_bytes(),
+            &12u64.to_le_bytes(),
+            &3u64.to_le_bytes(),
+            &9u64.to_le_bytes(),
+            &[0b0001_1001, 0b1],
+            &[0],
+        ]
+        .concat();
+        assert_eq!(SessionSnapshot::capture(&opp, 12).to_bytes(), expected);
     }
 
     #[test]

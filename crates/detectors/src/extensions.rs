@@ -261,14 +261,12 @@ pub fn extended_registry(interval: u32) -> Vec<ConfiguredDetector> {
         extra.push(Box::new(SeasonalEsd::new(days, interval)));
     }
     let base = out.len();
-    let base_group = out.last().map_or(0, |c| c.group + 1);
     out.extend(
         extra
             .into_iter()
             .enumerate()
             .map(|(i, detector)| ConfiguredDetector {
                 index: base + i,
-                group: base_group + i,
                 // Extension detectors have no fused kernel; they run
                 // through their boxed `Detector` unchanged.
                 spec: DetectorSpec::Opaque,

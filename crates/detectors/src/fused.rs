@@ -65,27 +65,6 @@ pub trait FamilyKernel: Send {
     /// Panics if `out.len() != n_configs()`.
     fn observe(&mut self, timestamp: i64, value: Option<f64>, out: &mut [Option<f64>]);
 
-    /// Feeds a run of consecutive points; `out` is row-major
-    /// (`timestamps.len() × n_configs()`). The default is the per-point
-    /// loop; overrides must stay bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree.
-    fn observe_batch(
-        &mut self,
-        timestamps: &[i64],
-        values: &[Option<f64>],
-        out: &mut [Option<f64>],
-    ) {
-        assert_eq!(timestamps.len(), values.len(), "batch length mismatch");
-        let k = self.n_configs();
-        assert_eq!(out.len(), timestamps.len() * k, "batch output mismatch");
-        for (i, (&ts, &v)) in timestamps.iter().zip(values).enumerate() {
-            self.observe(ts, v, &mut out[i * k..(i + 1) * k]);
-        }
-    }
-
     /// A boxed deep copy; the clone's severity streams continue exactly
     /// where the original's were (the same clone-determinism contract as
     /// [`Detector::clone_box`](crate::Detector::clone_box)).
@@ -107,61 +86,35 @@ fn clamp(s: f64) -> Option<f64> {
 // Scalar fallback
 // --------------------------------------------------------------------------
 
-/// Fallback kernel: runs a contiguous run of [`ConfiguredDetector`]s
-/// through their boxed [`Detector`](crate::Detector)s. Used for families
-/// without a fused kernel (ARIMA, extensions) — a run is one scheduling
-/// group, so state-sharing detectors advance point-by-point in lockstep.
-pub struct ScalarKernel {
-    dets: Vec<ConfiguredDetector>,
-}
+/// Fallback kernel: runs one [`ConfiguredDetector`] through its boxed
+/// [`Detector`](crate::Detector). Used for configurations without a fused
+/// kernel (simple threshold, ARIMA, extensions).
+#[derive(Clone)]
+pub struct ScalarKernel(ConfiguredDetector);
 
 impl ScalarKernel {
-    /// Wraps a non-empty run of configurations.
-    pub fn new(dets: Vec<ConfiguredDetector>) -> Self {
-        assert!(!dets.is_empty(), "empty scalar run");
-        Self { dets }
+    /// Wraps one configuration.
+    pub fn new(det: ConfiguredDetector) -> Self {
+        Self(det)
     }
 }
 
 impl FamilyKernel for ScalarKernel {
     fn n_configs(&self) -> usize {
-        self.dets.len()
+        1
     }
 
     fn observe(&mut self, timestamp: i64, value: Option<f64>, out: &mut [Option<f64>]) {
-        assert_eq!(out.len(), self.dets.len(), "output width mismatch");
-        for (det, slot) in self.dets.iter_mut().zip(out) {
-            *slot = det.observe_clamped(timestamp, value);
-        }
-    }
-
-    fn observe_batch(
-        &mut self,
-        timestamps: &[i64],
-        values: &[Option<f64>],
-        out: &mut [Option<f64>],
-    ) {
-        assert_eq!(timestamps.len(), values.len(), "batch length mismatch");
-        let k = self.dets.len();
-        assert_eq!(out.len(), timestamps.len() * k, "batch output mismatch");
-        if k == 1 {
-            // Single detector: its own (column-contiguous) batched path.
-            self.dets[0].observe_batch_clamped(timestamps, values, out);
-        } else {
-            for (i, (&ts, &v)) in timestamps.iter().zip(values).enumerate() {
-                self.observe(ts, v, &mut out[i * k..(i + 1) * k]);
-            }
-        }
+        assert_eq!(out.len(), 1, "output width mismatch");
+        out[0] = self.0.observe_clamped(timestamp, value);
     }
 
     fn clone_box(&self) -> Box<dyn FamilyKernel> {
-        Box::new(Self {
-            dets: self.dets.clone(),
-        })
+        Box::new(self.clone())
     }
 
     fn family(&self) -> &'static str {
-        self.dets[0].detector.name()
+        self.0.detector.name()
     }
 }
 
@@ -1107,12 +1060,6 @@ pub struct FusedUnit {
     pub kernel: Box<dyn FamilyKernel>,
     /// Output column (the configuration's `index`) of each lane.
     pub columns: Vec<usize>,
-    /// Estimated cost in ns/point for the whole unit, seeded from measured
-    /// per-configuration costs (see `seed_cost_ns` for where each was
-    /// measured). The
-    /// extraction layer's cost-balanced shard planner starts from this and
-    /// replaces it with live measurements.
-    pub seed_cost_ns: f64,
 }
 
 /// Which fused kernel (if any) a spec belongs to, plus the sampling
@@ -1148,72 +1095,11 @@ fn fuse_key(spec: &DetectorSpec) -> Option<FuseKey> {
     }
 }
 
-/// Seed cost estimate in ns/point for one configuration. Only *relative*
-/// magnitudes matter — the shard planner rebalances from live measurements
-/// — so coarse numbers are fine, but they decide the placement of every
-/// batch before the first rebalance (a whole history backfill).
-///
-/// Where each number was measured:
-///
-/// * SVD, wavelet and ARIMA: their fused kernel (ARIMA: its scalar
-///   detector) on a 1-minute KPI (the `pv` preset, 40k points after a
-///   3-day history, batches of 30, one thread), divided by the lane count.
-///   These three decide most of the placement. SVD and wavelet cost does
-///   not depend on the sampling interval; ARIMA's does (about 2.2 µs/pt
-///   on an hourly KPI), so there it starts under-weighted until live
-///   timings replace the seed. SVD was re-measured after its packs became
-///   const-generic: the new kernel against the old one, interleaved in
-///   blocks of 500 points within one process on the 1-minute `sr` and
-///   `pv` streams, cost 0.72–0.74 of the old, so its seed is the old
-///   111 ns scaled by 0.73.
-/// * TSD/TSD MAD and historical average/MAD: their fused kernel on the
-///   same 1-minute stream, divided by the lane count, split between the
-///   plain and MAD lanes by the cost of each variant's kernel alone, and
-///   scaled to the SVD seed by the SVD kernel's cost in the same runs
-///   (the host's speed drifts between runs). At 1 minute their
-///   per-slot state spans a day or a week of points, so they cost more
-///   there than on an hourly KPI.
-/// * Everything else: the per-family scalar breakdown in
-///   `results/BENCH_serving.json` (hourly KPI).
-fn seed_cost_ns(cfg: &ConfiguredDetector) -> f64 {
-    match cfg.spec {
-        DetectorSpec::SimpleThreshold => 17.0,
-        DetectorSpec::Diff { .. } => 11.0,
-        DetectorSpec::SimpleMa { .. } => 12.0,
-        DetectorSpec::WeightedMa { .. } => 63.0,
-        DetectorSpec::MaOfDiff { .. } => 10.0,
-        DetectorSpec::Ewma { .. } => 9.0,
-        DetectorSpec::Tsd { robust, .. } => {
-            if robust {
-                86.0
-            } else {
-                33.0
-            }
-        }
-        DetectorSpec::Historical { robust, .. } => {
-            if robust {
-                64.0
-            } else {
-                24.0
-            }
-        }
-        DetectorSpec::HoltWinters { .. } => 7.5,
-        DetectorSpec::Svd { .. } => 81.0,
-        DetectorSpec::Wavelet { .. } => 109.0,
-        DetectorSpec::Opaque => match cfg.detector.name() {
-            "ARIMA" => 120.0,
-            _ => 100.0,
-        },
-    }
-}
-
 /// Builds one kernel from a run of same-key configurations.
-fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
+fn build_unit(run: Vec<ConfiguredDetector>, key: FuseKey) -> FusedUnit {
     let columns: Vec<usize> = run.iter().map(|c| c.index).collect();
-    let seed_cost_ns = run.iter().map(seed_cost_ns).sum();
     let kernel: Box<dyn FamilyKernel> = match key {
-        None => Box::new(ScalarKernel::new(run)),
-        Some(FuseKey::Diff(interval)) => {
+        FuseKey::Diff(interval) => {
             let lags = run
                 .iter()
                 .map(|c| match c.spec {
@@ -1223,10 +1109,10 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
                 .collect();
             Box::new(FusedDiff::new(lags))
         }
-        Some(FuseKey::SimpleMa) => Box::new(FusedSimpleMa::new(spec_wins(&run))),
-        Some(FuseKey::WeightedMa) => Box::new(FusedWeightedMa::new(spec_wins(&run))),
-        Some(FuseKey::MaOfDiff) => Box::new(FusedMaOfDiff::new(spec_wins(&run))),
-        Some(FuseKey::Ewma) => {
+        FuseKey::SimpleMa => Box::new(FusedSimpleMa::new(spec_wins(&run))),
+        FuseKey::WeightedMa => Box::new(FusedWeightedMa::new(spec_wins(&run))),
+        FuseKey::MaOfDiff => Box::new(FusedMaOfDiff::new(spec_wins(&run))),
+        FuseKey::Ewma => {
             let alphas = run
                 .iter()
                 .map(|c| match c.spec {
@@ -1236,7 +1122,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
                 .collect();
             Box::new(FusedEwma::new(alphas))
         }
-        Some(FuseKey::Tsd(interval)) => {
+        FuseKey::Tsd(interval) => {
             let cfgs: Vec<(usize, bool)> = run
                 .iter()
                 .map(|c| match c.spec {
@@ -1246,7 +1132,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
                 .collect();
             Box::new(FusedTsd::new(&cfgs, interval))
         }
-        Some(FuseKey::Historical(interval)) => {
+        FuseKey::Historical(interval) => {
             let cfgs: Vec<(usize, bool)> = run
                 .iter()
                 .map(|c| match c.spec {
@@ -1256,7 +1142,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
                 .collect();
             Box::new(FusedHistorical::new(&cfgs, interval))
         }
-        Some(FuseKey::Svd) => {
+        FuseKey::Svd => {
             let cfgs: Vec<(usize, usize)> = run
                 .iter()
                 .map(|c| match c.spec {
@@ -1266,7 +1152,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
                 .collect();
             Box::new(FusedSvd::new(&cfgs))
         }
-        Some(FuseKey::Wavelet(interval)) => {
+        FuseKey::Wavelet(interval) => {
             let cfgs: Vec<(usize, Band)> = run
                 .iter()
                 .map(|c| match c.spec {
@@ -1276,7 +1162,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
                 .collect();
             Box::new(FusedWavelet::new(&cfgs, interval))
         }
-        Some(FuseKey::HoltWinters(interval)) => {
+        FuseKey::HoltWinters(interval) => {
             let params: Vec<(f64, f64, f64)> = run
                 .iter()
                 .map(|c| match c.spec {
@@ -1289,11 +1175,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: Option<FuseKey>) -> FusedUnit {
             Box::new(FusedHoltWinters::new(&params, interval))
         }
     };
-    FusedUnit {
-        kernel,
-        columns,
-        seed_cost_ns,
-    }
+    FusedUnit { kernel, columns }
 }
 
 fn spec_wins(run: &[ConfiguredDetector]) -> Vec<usize> {
@@ -1310,11 +1192,10 @@ fn spec_wins(run: &[ConfiguredDetector]) -> Vec<usize> {
 /// Groups a configuration list into fused units.
 ///
 /// Adjacent configurations with the same fusable family (and interval)
-/// become one fused kernel; everything else falls back to
-/// [`ScalarKernel`]s, one per scheduling group, so state-sharing
-/// detectors stay in lockstep. Works on any subset/order the extraction
-/// layer accepts (group members adjacent); pruned sets in registry order
-/// fuse exactly like the full registry, just with fewer lanes.
+/// become one fused kernel; every other configuration is a unit of its own
+/// ([`ScalarKernel`]). Works on any subset and order: pruned sets in
+/// registry order fuse exactly like the full registry, just with fewer
+/// lanes.
 ///
 /// The configurations must be *fresh* (unobserved): fused kernels rebuild
 /// the family's state from [`DetectorSpec`], so pre-advanced detector
@@ -1323,18 +1204,16 @@ pub fn plan(configs: Vec<ConfiguredDetector>) -> Vec<FusedUnit> {
     let mut units = Vec::new();
     let mut iter = configs.into_iter().peekable();
     while let Some(first) = iter.next() {
-        let key = fuse_key(&first.spec);
-        let group = first.group;
+        let Some(key) = fuse_key(&first.spec) else {
+            units.push(FusedUnit {
+                columns: vec![first.index],
+                kernel: Box::new(ScalarKernel::new(first)),
+            });
+            continue;
+        };
         let mut run = vec![first];
-        while let Some(next) = iter.peek() {
-            let extend = match key {
-                Some(k) => fuse_key(&next.spec) == Some(k),
-                None => next.group == group,
-            };
-            if !extend {
-                break;
-            }
-            run.push(iter.next().expect("peeked"));
+        while let Some(next) = iter.next_if(|c| fuse_key(&c.spec) == Some(key)) {
+            run.push(next);
         }
         units.push(build_unit(run, key));
     }
@@ -1416,7 +1295,6 @@ mod tests {
         assert!(sizes.contains(&("wavelet", 9)));
         assert!(sizes.contains(&("ARIMA", 1)));
         assert!(sizes.contains(&("simple threshold", 1)));
-        assert!(units.iter().all(|u| u.seed_cost_ns > 0.0));
     }
 
     #[test]
@@ -1441,28 +1319,6 @@ mod tests {
                     unit.kernel.family()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn batch_observe_matches_per_point() {
-        let points = stream(24 * 5);
-        let timestamps: Vec<i64> = points.iter().map(|p| p.0).collect();
-        let values: Vec<Option<f64>> = points.iter().map(|p| p.1).collect();
-        for unit in plan(registry(3600)) {
-            let mut per_point = unit.kernel;
-            let mut batched = per_point.clone_box();
-            let k = per_point.n_configs();
-            let mut a = vec![None; points.len() * k];
-            for (i, &(ts, v)) in points.iter().enumerate() {
-                per_point.observe(ts, v, &mut a[i * k..(i + 1) * k]);
-            }
-            let mut b = vec![None; points.len() * k];
-            batched.observe_batch(&timestamps, &values, &mut b);
-            assert_eq!(
-                a.iter().map(|s| s.map(f64::to_bits)).collect::<Vec<_>>(),
-                b.iter().map(|s| s.map(f64::to_bits)).collect::<Vec<_>>(),
-            );
         }
     }
 

@@ -70,27 +70,6 @@ pub trait Detector: Send {
     /// * `None` — no verdict (warm-up, or the point itself is missing).
     fn observe(&mut self, timestamp: i64, value: Option<f64>) -> Option<f64>;
 
-    /// Feeds a run of consecutive points, writing one severity per point
-    /// into `out`. The default implementation is the per-point loop, so any
-    /// override **must** stay bit-identical to repeated [`Detector::observe`]
-    /// calls — batching is a scheduling optimization, never a semantic one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timestamps`, `values` and `out` lengths differ.
-    fn observe_batch(
-        &mut self,
-        timestamps: &[i64],
-        values: &[Option<f64>],
-        out: &mut [Option<f64>],
-    ) {
-        assert_eq!(timestamps.len(), values.len(), "batch length mismatch");
-        assert_eq!(timestamps.len(), out.len(), "batch output length mismatch");
-        for ((&ts, &v), slot) in timestamps.iter().zip(values).zip(out) {
-            *slot = self.observe(ts, v);
-        }
-    }
-
     /// A boxed deep copy of this detector's current state. Clones continue
     /// independently: feeding both copies the same points yields identical
     /// severity streams (the clone-determinism contract behind snapshots

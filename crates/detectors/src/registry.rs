@@ -111,12 +111,6 @@ pub enum DetectorSpec {
 pub struct ConfiguredDetector {
     /// Stable feature index (0..132) — column in the feature matrix.
     pub index: usize,
-    /// Scheduling group. Configurations sharing a group share mutable
-    /// state (the wavelet band views of one window share a filter bank)
-    /// and must observe every point in lockstep on one thread; the
-    /// extraction layer never splits a group across workers. Groups are
-    /// contiguous in registry order.
-    pub group: usize,
     /// Family + parameters, for the fused extraction engine. Must describe
     /// `detector` exactly: the fused path rebuilds the family's state from
     /// the spec, so a spec that disagrees with the boxed detector would
@@ -133,7 +127,6 @@ impl Clone for ConfiguredDetector {
     fn clone(&self) -> Self {
         Self {
             index: self.index,
-            group: self.group,
             spec: self.spec,
             detector: self.detector.clone_box(),
         }
@@ -147,24 +140,10 @@ impl ConfiguredDetector {
     }
 
     /// [`Detector::observe`] with the framework severity clamp applied —
-    /// the single choke point every extraction path (offline, online,
-    /// batched) goes through, so they cannot drift.
+    /// the single choke point every unfused extraction path goes through,
+    /// so they cannot drift.
     pub fn observe_clamped(&mut self, timestamp: i64, value: Option<f64>) -> Option<f64> {
         crate::clamp_severity(self.detector.observe(timestamp, value))
-    }
-
-    /// [`Detector::observe_batch`] with the framework severity clamp
-    /// applied to every output slot.
-    pub fn observe_batch_clamped(
-        &mut self,
-        timestamps: &[i64],
-        values: &[Option<f64>],
-        out: &mut [Option<f64>],
-    ) {
-        self.detector.observe_batch(timestamps, values, out);
-        for slot in out.iter_mut() {
-            *slot = crate::clamp_severity(*slot);
-        }
     }
 }
 
@@ -183,20 +162,11 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
         opprentice_timeseries::is_supported_interval(interval),
         "unsupported interval {interval} s: it must divide 86400 and leave at least 2 points per day"
     );
-    // (group, spec, detector); each independent detector is its own group,
-    // the three band views of one wavelet filter bank share a group.
-    type Entry = (usize, DetectorSpec, Box<dyn Detector>);
-    let mut out: Vec<Entry> = Vec::with_capacity(CONFIG_COUNT);
-    let mut next_group = 0usize;
-    fn push(out: &mut Vec<Entry>, group: &mut usize, spec: DetectorSpec, d: Box<dyn Detector>) {
-        out.push((*group, spec, d));
-        *group += 1;
-    }
+    let mut out: Vec<(DetectorSpec, Box<dyn Detector>)> = Vec::with_capacity(CONFIG_COUNT);
+    let mut push = |spec: DetectorSpec, d: Box<dyn Detector>| out.push((spec, d));
 
     // Simple threshold [24] — 1 configuration.
     push(
-        &mut out,
-        &mut next_group,
         DetectorSpec::SimpleThreshold,
         Box::new(SimpleThreshold::new()),
     );
@@ -204,8 +174,6 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
     // Diff — last-slot, last-day, last-week.
     for lag in [DiffLag::LastSlot, DiffLag::LastDay, DiffLag::LastWeek] {
         push(
-            &mut out,
-            &mut next_group,
             DetectorSpec::Diff { lag, interval },
             Box::new(Diff::new(lag, interval)),
         );
@@ -213,35 +181,21 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
 
     // Simple MA [4], weighted MA [11], MA of diff — win = 10..50 points.
     for win in [10usize, 20, 30, 40, 50] {
-        push(
-            &mut out,
-            &mut next_group,
-            DetectorSpec::SimpleMa { win },
-            Box::new(SimpleMa::new(win)),
-        );
+        push(DetectorSpec::SimpleMa { win }, Box::new(SimpleMa::new(win)));
     }
     for win in [10usize, 20, 30, 40, 50] {
         push(
-            &mut out,
-            &mut next_group,
             DetectorSpec::WeightedMa { win },
             Box::new(WeightedMa::new(win)),
         );
     }
     for win in [10usize, 20, 30, 40, 50] {
-        push(
-            &mut out,
-            &mut next_group,
-            DetectorSpec::MaOfDiff { win },
-            Box::new(MaOfDiff::new(win)),
-        );
+        push(DetectorSpec::MaOfDiff { win }, Box::new(MaOfDiff::new(win)));
     }
 
     // EWMA [11] — alpha = 0.1, 0.3, 0.5, 0.7, 0.9.
     for alpha in [0.1, 0.3, 0.5, 0.7, 0.9] {
         push(
-            &mut out,
-            &mut next_group,
             DetectorSpec::Ewma { alpha },
             Box::new(EwmaDetector::new(alpha)),
         );
@@ -251,8 +205,6 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
     for robust in [false, true] {
         for weeks in 1..=5usize {
             push(
-                &mut out,
-                &mut next_group,
                 DetectorSpec::Tsd {
                     weeks,
                     robust,
@@ -267,8 +219,6 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
     for robust in [false, true] {
         for weeks in 1..=5usize {
             push(
-                &mut out,
-                &mut next_group,
                 DetectorSpec::Historical {
                     weeks,
                     robust,
@@ -285,8 +235,6 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
         for beta in grid {
             for gamma in grid {
                 push(
-                    &mut out,
-                    &mut next_group,
                     DetectorSpec::HoltWinters {
                         alpha,
                         beta,
@@ -303,43 +251,34 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
     for rows in [10usize, 20, 30, 40, 50] {
         for cols in [3usize, 5, 7] {
             push(
-                &mut out,
-                &mut next_group,
                 DetectorSpec::Svd { rows, cols },
                 Box::new(SvdDetector::new(rows, cols)),
             );
         }
     }
 
-    // Wavelet [12] — win = 3, 5, 7 days × low/mid/high → 9. The three
-    // bands of one window share a filter bank (one scheduling group).
+    // Wavelet [12] — win = 3, 5, 7 days × low/mid/high → 9.
     for win_days in [3usize, 5, 7] {
-        let views = WaveletDetector::banked(win_days, interval);
-        for view in views {
-            let spec = DetectorSpec::Wavelet {
-                win_days,
-                band: view.band(),
-                interval,
-            };
-            out.push((next_group, spec, Box::new(view)));
+        for band in [Band::Low, Band::Mid, Band::High] {
+            push(
+                DetectorSpec::Wavelet {
+                    win_days,
+                    band,
+                    interval,
+                },
+                Box::new(WaveletDetector::new(win_days, band, interval)),
+            );
         }
-        next_group += 1;
     }
 
     // ARIMA [10] — one configuration, estimated from data.
-    push(
-        &mut out,
-        &mut next_group,
-        DetectorSpec::Opaque,
-        Box::new(ArimaDetector::new(interval)),
-    );
+    push(DetectorSpec::Opaque, Box::new(ArimaDetector::new(interval)));
 
     debug_assert_eq!(out.len(), CONFIG_COUNT);
     out.into_iter()
         .enumerate()
-        .map(|(index, (group, spec, detector))| ConfiguredDetector {
+        .map(|(index, (spec, detector))| ConfiguredDetector {
             index,
-            group,
             spec,
             detector,
         })
@@ -407,29 +346,6 @@ mod tests {
         let reg = registry(300);
         for (i, c) in reg.iter().enumerate() {
             assert_eq!(c.index, i);
-        }
-    }
-
-    #[test]
-    fn groups_are_contiguous_and_wavelets_share_banks() {
-        let reg = registry(300);
-        // Groups are nondecreasing and never skip.
-        let mut prev = 0usize;
-        for c in &reg {
-            assert!(c.group == prev || c.group == prev + 1, "gap at {}", c.index);
-            prev = c.group;
-        }
-        // Exactly the 3 wavelet band triples are multi-member groups.
-        let mut sizes: HashMap<usize, usize> = HashMap::new();
-        for c in &reg {
-            *sizes.entry(c.group).or_default() += 1;
-        }
-        let multi: Vec<usize> = sizes.values().copied().filter(|&n| n > 1).collect();
-        assert_eq!(multi, vec![3, 3, 3]);
-        for c in &reg {
-            if sizes[&c.group] > 1 {
-                assert_eq!(c.detector.name(), "wavelet");
-            }
         }
     }
 

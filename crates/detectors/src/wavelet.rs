@@ -16,20 +16,16 @@
 //! The severity is the band value normalized by a running MAD of recent
 //! band values, so each band reads in robust sigmas.
 //!
-//! The three bands of one window length read the *same* moving averages, so
-//! the registry's 9 wavelet configurations share 3 filter banks (one per
-//! `win_days`): each bank advances once per point and hands all three band
-//! values to its views. Band views of one bank must therefore see points in
-//! lockstep — the extraction layer keeps registry-mates on one thread (see
-//! `ConfiguredDetector::group`). The extraction engine itself runs the
-//! config-fused [`FusedWavelet`], which owns its banks outright and feeds
-//! their band lanes in lockstep without the boxed views' shared-bank lock.
+//! Each [`WaveletDetector`] owns its filter bank. The extraction engine
+//! runs the config-fused [`FusedWavelet`] instead: the three bands of one
+//! window length read the *same* moving averages, so the kernel keeps one
+//! bank per distinct `win_days` and feeds that bank's band lanes in
+//! lockstep.
 
 use crate::fused::FamilyKernel;
 use crate::{Detector, MAX_SEVERITY};
 use opprentice_numeric::rolling::SortedWindow;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// Which frequency band the configuration extracts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,43 +124,6 @@ impl FilterBank {
     }
 }
 
-/// A [`FilterBank`] shared by the boxed band views of one window length.
-/// Advances once per point; the per-point band triple is cached so sibling
-/// views read it without recomputation.
-#[derive(Debug, Clone)]
-struct SharedBank {
-    /// Index of the last point fed in (0 = nothing yet).
-    seq: u64,
-    bank: FilterBank,
-    /// `[low, mid, high]` for point `seq`; `None` while warming up or when
-    /// the point was missing.
-    bands: Option<[f64; 3]>,
-}
-
-impl SharedBank {
-    /// Feeds point `seq` (idempotent: sibling views call this with the same
-    /// `seq` and only the first call advances the filters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the views desynchronize (a view skipped a point or ran
-    /// ahead by more than one) — the extraction layer's grouping guarantee
-    /// was violated.
-    fn advance(&mut self, seq: u64, value: Option<f64>) -> Option<[f64; 3]> {
-        if seq == self.seq {
-            return self.bands;
-        }
-        assert_eq!(
-            seq,
-            self.seq + 1,
-            "wavelet band views desynchronized (grouping violated)"
-        );
-        self.seq = seq;
-        self.bands = value.and_then(|v| self.bank.push(v));
-        self.bands
-    }
-}
-
 /// One band's robust normalization: the running MAD of recent band values,
 /// refreshed every [`SPREAD_REFRESH`] points.
 #[derive(Debug, Clone)]
@@ -209,82 +168,28 @@ impl Band {
 }
 
 /// The streaming wavelet-band detector.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WaveletDetector {
     win_days: usize,
     band: Band,
-    /// Shared with the sibling band views of the same window length (or
-    /// private, for a standalone detector).
-    bank: Arc<Mutex<SharedBank>>,
-    /// This view's point counter, kept in lockstep with the bank's.
-    seq: u64,
+    bank: FilterBank,
     spread: BandSpread,
 }
 
-impl Clone for WaveletDetector {
-    /// Deep-copies the filter bank: a clone continues independently from
-    /// the clone point and never shares state with the original (or with
-    /// the original's sibling views).
-    fn clone(&self) -> Self {
-        let bank = self.bank.lock().expect("wavelet bank poisoned").clone();
-        Self {
-            win_days: self.win_days,
-            band: self.band,
-            bank: Arc::new(Mutex::new(bank)),
-            seq: self.seq,
-            spread: self.spread.clone(),
-        }
-    }
-}
-
 impl WaveletDetector {
-    /// Creates a standalone detector (private filter bank) at the given
-    /// sampling interval. The long window is `win_days` days; the short and
-    /// medium windows are fixed dyadic fractions of a day (capped to stay
-    /// meaningful at coarse intervals).
+    /// Creates a detector at the given sampling interval. The long window
+    /// is `win_days` days; the short and medium windows are fixed dyadic
+    /// fractions of a day (capped to stay meaningful at coarse intervals).
     ///
     /// # Panics
     ///
     /// Panics if `win_days == 0`.
     pub fn new(win_days: usize, band: Band, interval: u32) -> Self {
         assert!(win_days > 0, "win_days must be positive");
-        Self::with_bank(win_days, band, Self::shared_bank(win_days, interval))
-    }
-
-    /// The three band views (low, mid, high) of one window length, sharing
-    /// a single filter bank (3 moving averages instead of 9). The views
-    /// must observe every point in lockstep; the registry marks them as one
-    /// scheduling group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `win_days == 0`.
-    pub fn banked(win_days: usize, interval: u32) -> [WaveletDetector; 3] {
-        assert!(win_days > 0, "win_days must be positive");
-        let bank = Self::shared_bank(win_days, interval);
-        [Band::Low, Band::Mid, Band::High]
-            .map(|band| Self::with_bank(win_days, band, Arc::clone(&bank)))
-    }
-
-    /// The band this view scores.
-    pub fn band(&self) -> Band {
-        self.band
-    }
-
-    fn shared_bank(win_days: usize, interval: u32) -> Arc<Mutex<SharedBank>> {
-        Arc::new(Mutex::new(SharedBank {
-            seq: 0,
-            bank: FilterBank::new(win_days, interval),
-            bands: None,
-        }))
-    }
-
-    fn with_bank(win_days: usize, band: Band, bank: Arc<Mutex<SharedBank>>) -> Self {
         Self {
             win_days,
             band,
-            bank,
-            seq: 0,
+            bank: FilterBank::new(win_days, interval),
             spread: BandSpread::new(),
         }
     }
@@ -292,12 +197,7 @@ impl WaveletDetector {
 
 impl Detector for WaveletDetector {
     fn observe(&mut self, _timestamp: i64, value: Option<f64>) -> Option<f64> {
-        self.seq += 1;
-        let bands = self
-            .bank
-            .lock()
-            .expect("wavelet bank poisoned")
-            .advance(self.seq, value)?;
+        let bands = self.bank.push(value?)?;
         self.spread.score(bands[self.band.index()])
     }
 
@@ -315,9 +215,8 @@ impl Detector for WaveletDetector {
 }
 
 /// Config-fused wavelet lanes: the kernel owns one filter bank per
-/// distinct window length outright and feeds each bank's band lanes in
-/// lockstep — no shared-bank lock, no per-view sequence bookkeeping.
-/// Per lane the arithmetic is the boxed view's (the same bank pushes and
+/// distinct window length and feeds each bank's band lanes in lockstep.
+/// Per lane the arithmetic is the boxed detector's (the same bank pushes and
 /// the same running-MAD update), so severities are bit-identical.
 #[derive(Debug, Clone)]
 pub struct FusedWavelet {
@@ -454,62 +353,9 @@ mod tests {
     #[test]
     fn bands_have_increasing_window_order() {
         let d = WaveletDetector::new(3, Band::Mid, 3600);
-        let shared = d.bank.lock().unwrap();
-        let bank = &shared.bank;
+        let bank = &d.bank;
         assert!(bank.short.len < bank.medium.len);
         assert!(bank.medium.len < bank.long.len);
-    }
-
-    #[test]
-    fn banked_views_match_standalone_detectors_bit_for_bit() {
-        let mut banked = WaveletDetector::banked(3, 3600);
-        let mut standalone: Vec<WaveletDetector> = [Band::Low, Band::Mid, Band::High]
-            .into_iter()
-            .map(|b| WaveletDetector::new(3, b, 3600))
-            .collect();
-        for i in 0..(24 * 6) {
-            let ts = i * 3600;
-            let v = if i % 13 == 7 { None } else { Some(signal(i)) };
-            for (shared, private) in banked.iter_mut().zip(standalone.iter_mut()) {
-                let a = shared.observe(ts, v);
-                let b = private.observe(ts, v);
-                assert_eq!(
-                    a.map(f64::to_bits),
-                    b.map(f64::to_bits),
-                    "point {i} band {:?}",
-                    private.band
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cloned_view_detaches_from_the_shared_bank() {
-        let [mut low, mut mid, _high] = WaveletDetector::banked(3, 3600);
-        for i in 0..(24 * 4) {
-            let ts = i * 3600;
-            low.observe(ts, Some(signal(i)));
-            mid.observe(ts, Some(signal(i)));
-        }
-        let mut mid_clone = mid.clone();
-        // The original pair advances; the clone stays at the clone point
-        // and then continues independently — identical outputs.
-        for i in (24 * 4)..(24 * 5) {
-            let ts = i * 3600;
-            low.observe(ts, Some(signal(i)));
-            let a = mid.observe(ts, Some(signal(i)));
-            let b = mid_clone.observe(ts, Some(signal(i)));
-            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "point {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "desynchronized")]
-    fn desynchronized_views_panic() {
-        let [mut low, mut mid, _high] = WaveletDetector::banked(3, 3600);
-        low.observe(0, Some(1.0));
-        low.observe(3600, Some(1.0));
-        mid.observe(0, Some(1.0)); // mid skipped a point the bank consumed
     }
 
     #[test]

@@ -69,7 +69,10 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-fn encode_params(p: &RandomForestParams, out: &mut Vec<u8>) {
+/// Appends the hyperparameter block (the `params` line of the layout
+/// above) to `out`. The session snapshot in `opprentice-core` embeds the
+/// same block.
+pub fn encode_params(p: &RandomForestParams, out: &mut Vec<u8>) {
     out.put_u32_le(p.n_trees as u32);
     out.put_f64_le(p.sample_fraction);
     out.put_u64_le(p.seed);
@@ -85,7 +88,14 @@ fn encode_params(p: &RandomForestParams, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_params(buf: &mut &[u8]) -> Result<RandomForestParams, PersistError> {
+/// Reads a block written by [`encode_params`] off the front of `buf`,
+/// validating every field and length before use.
+///
+/// # Errors
+///
+/// [`PersistError::Truncated`] if `buf` ends inside the block;
+/// [`PersistError::BadParam`] if a field is outside its domain.
+pub fn decode_params(buf: &mut &[u8]) -> Result<RandomForestParams, PersistError> {
     if buf.remaining() < 4 + 8 + 8 + 1 {
         return Err(PersistError::Truncated);
     }

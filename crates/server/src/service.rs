@@ -148,6 +148,15 @@ impl Session {
                 let Some(p) = self.pipeline.as_mut() else {
                     return Response::Err("HELLO first".into());
                 };
+                // Point `i` lands at `start + i * interval`, and `start` is
+                // the client's: refuse a batch that runs past `i64`.
+                let last = i64::try_from(values.len().saturating_sub(1))
+                    .ok()
+                    .and_then(|n| n.checked_mul(i64::from(p.interval())))
+                    .and_then(|span| start.checked_add(span));
+                if last.is_none() {
+                    return Response::Err("OBSB timestamps overflow".into());
+                }
                 Response::Verdicts(p.observe_batch(*start, values))
             }
             Request::Label { flags } => {
@@ -1194,6 +1203,23 @@ mod tests {
         assert!(c.send("HELLO 60").starts_with("OK"));
         // The day's last slot observes fine at a supported interval.
         assert!(c.send("OBS 86340 1.0").starts_with("OK"));
+        assert_eq!(c.send("QUIT"), "BYE");
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// A batch whose last timestamp does not fit in `i64` is refused before
+    /// any point is recorded, and the connection stays usable.
+    #[test]
+    fn obsb_past_the_timestamp_range_is_rejected() {
+        let (handle, join) = start_server(test_config());
+        let mut c = Client::connect(handle.addr());
+        assert!(c.send("HELLO 60").starts_with("OK"));
+        let reply = c.send("OBSB 9223372036854775777 1 2");
+        assert!(reply.starts_with("ERR"), "{reply}");
+        assert!(c.send("OBSB 9223372036854775777 1").starts_with("OK"));
+        let status = c.send("STATUS");
+        assert!(status.starts_with("OK observed=1 "), "{status}");
         assert_eq!(c.send("QUIT"), "BYE");
         handle.shutdown();
         join.join().unwrap();

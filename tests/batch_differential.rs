@@ -174,18 +174,22 @@ proptest! {
 }
 
 /// A pruned configuration set (e.g. after feature selection) extracts the
-/// same severities the full registry assigns to those columns.
+/// same severities the full registry assigns to those columns, in any
+/// order. The subset here runs in descending registry order, in two passes
+/// (`index % 3 == 0`, then `index % 3 == 1`), so the bands of one wavelet
+/// window land far apart and the fused kernels see their lanes reversed.
 #[test]
 fn pruned_config_set_matches_full_registry_columns() {
     let full_reg = registry(INTERVAL);
-    let kept: Vec<usize> = full_reg
-        .iter()
-        .filter(|c| c.group % 2 == 0)
-        .map(|c| c.index)
+    let kept: Vec<usize> = (0..full_reg.len())
+        .rev()
+        .filter(|i| i % 3 == 0)
+        .chain((0..full_reg.len()).rev().filter(|i| i % 3 == 1))
         .collect();
-    let pruned_reg: Vec<_> = registry(INTERVAL)
-        .into_iter()
-        .filter(|c| c.group % 2 == 0)
+    let mut fresh: Vec<_> = registry(INTERVAL).into_iter().map(Some).collect();
+    let pruned_reg: Vec<_> = kept
+        .iter()
+        .map(|&i| fresh[i].take().expect("each index kept once"))
         .collect();
     assert!(pruned_reg.len() < full_reg.len());
 
