@@ -1,7 +1,7 @@
 //! Ablation — random-forest hyperparameter sensitivity.
 //!
 //! §4.4.1 argues for random forests partly because they "have only two
-//! parameters and are not very sensitive to them [38]". This ablation
+//! parameters and are not very sensitive to them \[38\]". This ablation
 //! sweeps both (tree count, per-node feature subset size) on PV and
 //! reports offline AUCPR; the expected shape is a broad plateau once the
 //! forest has ~25 trees.

@@ -41,7 +41,7 @@ fn main() {
             } else {
                 registry(kpi.series.interval())
             };
-            let matrix = extract_with(configs, &kpi.series);
+            let matrix = extract_with(&configs, &kpi.series);
             let (train, _) = matrix.dataset(&labels, 0..split);
             let mut forest = RandomForest::new(opts.forest_params_for(matrix.len()));
             forest.fit(&train);

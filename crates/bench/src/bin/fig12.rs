@@ -7,7 +7,7 @@
 //! point; the figure reports how many weekly points land inside the
 //! preference box, and how that count grows as the box is scaled up.
 //!
-//! Paper's shape: "PC-Score always achieve[s] the most points inside the
+//! Paper's shape: "PC-Score always achieve\[s\] the most points inside the
 //! boxes for both the original preference and the scaled-up ones."
 //!
 //! Run: `cargo run --release -p opprentice-bench --bin fig12 [--full]`

@@ -24,7 +24,9 @@
 //!    is asynchronous, so the session keeps answering `OBS` on the old
 //!    model until the finished forest is swapped in between requests.
 //!
-//! It also records the resident-memory growth of one extractor on a
+//! It also records what building an extractor costs at 60, 300 and
+//! 3,600 s (`extractor_build_ms`, paid by every first training, retrain
+//! job and restore), the resident-memory growth of one extractor on a
 //! 1-minute KPI (`extractor_memory`), the per-stream state a fleet of
 //! sessions would pay for, and what each point a trained session serves
 //! adds to it (`session_memory`, bytes per point; `--max-session-bytes-per-pt`
@@ -38,7 +40,7 @@
 
 use opprentice::features::OnlineExtractor;
 use opprentice::{Opprentice, OpprenticeConfig};
-use opprentice_detectors::registry::registry;
+use opprentice_detectors::{clamp_severity, registry, Detector};
 use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams};
 use opprentice_server::testing::Client;
 use opprentice_server::{Server, ServerConfig};
@@ -312,6 +314,27 @@ fn rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
+/// Builds timed per interval by [`extractor_build_ms`].
+const BUILD_REPS: usize = 15;
+
+/// Median wall-clock milliseconds of `OnlineExtractor::new(interval)`
+/// over [`BUILD_REPS`] builds, at 60, 300 and 3,600 s.
+fn extractor_build_ms() -> [(u32, f64); 3] {
+    [60, 300, 3600].map(|interval| {
+        let mut ms: Vec<f64> = (0..BUILD_REPS)
+            .map(|_| {
+                let t0 = Instant::now();
+                let extractor = OnlineExtractor::new(interval);
+                let elapsed = t0.elapsed();
+                drop(std::hint::black_box(extractor));
+                elapsed.as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        (interval, ms[BUILD_REPS / 2])
+    })
+}
+
 /// Days of the 1-minute pv preset fed to the extractor whose memory is
 /// measured: more than a week, so every slot-of-week window is touched.
 const MEMORY_DAYS: usize = 8;
@@ -397,7 +420,11 @@ fn main() {
     let sizes = Sizes::from_args();
     eprintln!("[serving_bench] mode={}", sizes.mode);
 
-    // ---- Extractor memory -----------------------------------------------
+    // ---- Extractor construction and memory ------------------------------
+    let build_ms = extractor_build_ms();
+    for (interval, ms) in build_ms {
+        eprintln!("[build] OnlineExtractor::new({interval}): {ms:.3} ms (median of {BUILD_REPS})");
+    }
     let (memory_points, memory_bytes) = extractor_memory();
     match memory_bytes {
         Some(b) => eprintln!(
@@ -474,13 +501,12 @@ fn main() {
     // Per-detector-family breakdown, scalar *before*: each family's
     // configurations run alone as boxed per-config detectors over the
     // same KPI — the pre-fusion execution model.
-    let mut families: Vec<(&'static str, Vec<opprentice_detectors::ConfiguredDetector>)> =
-        Vec::new();
-    for cfg in registry(3600) {
-        let name = cfg.detector.name();
+    let mut families: Vec<(&'static str, Vec<Box<dyn Detector>>)> = Vec::new();
+    for spec in registry(3600) {
+        let name = spec.name();
         match families.last_mut() {
-            Some((n, dets)) if *n == name => dets.push(cfg),
-            _ => families.push((name, vec![cfg])),
+            Some((n, dets)) if *n == name => dets.push(spec.detector()),
+            _ => families.push((name, vec![spec.detector()])),
         }
     }
     let family_points = sizes.extract_points.min(2000);
@@ -490,8 +516,8 @@ fn main() {
         for i in 0..family_points {
             let ts = i as i64 * 3600;
             let v = Some(kpi_value(i).0);
-            for cfg in dets.iter_mut() {
-                std::hint::black_box(cfg.observe_clamped(ts, v));
+            for det in dets.iter_mut() {
+                std::hint::black_box(clamp_severity(det.observe(ts, v)));
             }
         }
         let ns_per_point = t0.elapsed().as_nanos() as f64 / family_points as f64;
@@ -728,6 +754,10 @@ fn main() {
     let json = format!(
         r#"{{
   "mode": "{mode}",
+  "extractor_build_ms": {{
+    "note": "median wall-clock of OnlineExtractor::new(interval) over {build_reps} builds",
+{build_json}
+  }},
   "extractor_memory": {{
     "note": "resident-set growth after building OnlineExtractor::new(60) and feeding it {memory_days} days of the 1-minute pv preset (null where /proc is unavailable)",
     "interval_s": 60,
@@ -812,6 +842,12 @@ fn main() {
 }}
 "#,
         mode = sizes.mode,
+        build_reps = BUILD_REPS,
+        build_json = build_ms
+            .iter()
+            .map(|(interval, ms)| format!("    \"interval_{interval}s\": {ms:.3}"))
+            .collect::<Vec<_>>()
+            .join(",\n"),
         memory_days = MEMORY_DAYS,
         memory_bytes = memory_bytes.map_or("null".to_string(), |b| b.to_string()),
         session_points = SESSION_SERVED_POINTS,

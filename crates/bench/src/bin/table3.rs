@@ -16,11 +16,11 @@ fn main() {
     );
 
     let mut by_detector: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
-    for c in &reg {
+    for spec in &reg {
         by_detector
-            .entry(c.detector.name())
+            .entry(spec.name())
             .or_default()
-            .push(c.detector.config());
+            .push(spec.params());
     }
 
     println!("Table 3: basic detectors and sampled parameters\n");

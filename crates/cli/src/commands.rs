@@ -4,11 +4,14 @@ use crate::csvio;
 use opprentice::cthld::{best_cthld, Preference};
 use opprentice::evaluate::Evaluator;
 use opprentice::extract_features;
+use opprentice::features::extract_with;
 use opprentice::postprocess::{group_alerts, DurationFilter};
 use opprentice::strategy::{EvalPlan, TrainingStrategy};
 use opprentice_datagen::presets;
+use opprentice_detectors::registry;
 use opprentice_learn::metrics::{pr_curve, precision_recall};
 use opprentice_learn::{auc_pr, Classifier, RandomForest, RandomForestParams};
+use opprentice_timeseries::{Labels, TimeSeries};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -252,32 +255,37 @@ pub fn evaluate(opts: &Options) -> Result<(), String> {
 /// `opprentice rank` — rank the 14 basic detectors on this data.
 pub fn rank(opts: &Options) -> Result<(), String> {
     let data = opts.data()?;
-    let matrix = extract_features(&data.series);
-
-    let mut best: BTreeMap<String, (String, f64)> = BTreeMap::new();
-    for c in 0..matrix.n_features() {
-        let scores = matrix.column_scores(c);
-        let auc = auc_pr(&pr_curve(&scores, data.labels.flags()));
-        let label = &matrix.feature_labels()[c];
-        let (family, config) = label.split_once(" (").unwrap_or((label.as_str(), ""));
-        let entry = best
-            .entry(family.to_string())
-            .or_insert_with(|| (String::new(), f64::MIN));
-        if auc > entry.1 {
-            *entry = (config.trim_end_matches(')').to_string(), auc);
-        }
-    }
-    let mut ranked: Vec<(String, (String, f64))> = best.into_iter().collect();
-    ranked.sort_by(|a, b| b.1 .1.partial_cmp(&a.1 .1).expect("finite AUCPR"));
-
     println!(
         "{:<22} {:<30} {:>7}",
         "detector family", "best configuration", "AUCPR"
     );
-    for (family, (config, auc)) in &ranked {
-        println!("{family:<22} {config:<30} {auc:>7.3}");
+    for (family, params, auc) in best_per_family(&data.series, &data.labels) {
+        println!("{family:<22} {params:<30} {auc:>7.3}");
     }
     Ok(())
+}
+
+/// Each detector family's best configuration on `series` by AUCPR against
+/// `labels`, as `(family, parameters, AUCPR)`, best family first.
+fn best_per_family(series: &TimeSeries, labels: &Labels) -> Vec<(&'static str, String, f64)> {
+    let specs = registry(series.interval());
+    let matrix = extract_with(&specs, series);
+    let mut best: BTreeMap<&'static str, (String, f64)> = BTreeMap::new();
+    for (c, spec) in specs.iter().enumerate() {
+        let auc = auc_pr(&pr_curve(&matrix.column_scores(c), labels.flags()));
+        let entry = best
+            .entry(spec.name())
+            .or_insert_with(|| (String::new(), f64::MIN));
+        if auc > entry.1 {
+            *entry = (spec.params(), auc);
+        }
+    }
+    let mut ranked: Vec<(&'static str, String, f64)> = best
+        .into_iter()
+        .map(|(family, (params, auc))| (family, params, auc))
+        .collect();
+    ranked.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite AUCPR"));
+    ranked
 }
 
 #[cfg(test)]
@@ -326,6 +334,37 @@ mod tests {
         .unwrap();
         rank(&opts(&[("data", csv.to_str().unwrap())])).unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every family's best configuration is printed as its spec's exact
+    /// parameter text: parameters that themselves end in `)` (TSD's
+    /// `week(s)`, ARIMA's `(pending)`) come through whole.
+    #[test]
+    fn rank_reports_whole_parameter_text() {
+        let n = 24 * 7 * 4;
+        let mut series = TimeSeries::new(0, 3600);
+        let mut labels = Labels::all_normal(0);
+        for i in 0..n {
+            let spike = i % 97 == 60;
+            let v = 100.0 + 20.0 * ((i % 24) as f64 / 24.0 * std::f64::consts::TAU).sin();
+            series.push(if spike { v + 150.0 } else { v });
+            labels.push(spike);
+        }
+        let ranked = best_per_family(&series, &labels);
+        assert_eq!(ranked.len(), 14);
+        let known: Vec<(&str, String)> = registry(3600)
+            .iter()
+            .map(|s| (s.name(), s.params()))
+            .collect();
+        for (family, params, _) in &ranked {
+            assert!(
+                known.contains(&(*family, params.clone())),
+                "{family}: {params:?} is not a registry configuration"
+            );
+        }
+        let params_of = |family: &str| &ranked.iter().find(|r| r.0 == family).unwrap().1;
+        assert!(params_of("TSD MAD").ends_with("week(s)"));
+        assert_eq!(params_of("ARIMA"), "estimated (pending)");
     }
 
     #[test]

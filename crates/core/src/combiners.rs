@@ -1,5 +1,5 @@
 //! The static detector-combination baselines of §5.3.1: the normalization
-//! schema [21] and the majority vote [8].
+//! schema \[21\] and the majority vote \[8\].
 //!
 //! "These two methods are designed to combine different detectors, but they
 //! treat them equally no matter their accuracy" — which is exactly why they
@@ -36,7 +36,7 @@ fn config_scales(matrix: &FeatureMatrix, fit_range: std::ops::Range<usize>) -> V
     scales
 }
 
-/// The normalization schema [21]: each severity is rescaled to `[0, 1]` by
+/// The normalization schema \[21\]: each severity is rescaled to `[0, 1]` by
 /// its configuration's own scale (clamped), and the combined score is the
 /// equal-weight mean. Scales are fit on `fit_range` (the training data) and
 /// scores are emitted for `score_range`.
@@ -59,7 +59,7 @@ pub fn normalization_schema(
         .collect()
 }
 
-/// The majority vote [8]: each configuration votes "anomaly" when its
+/// The majority vote \[8\]: each configuration votes "anomaly" when its
 /// severity exceeds its own sThld (a high quantile of its history); the
 /// combined score is the fraction of voting configurations. "Equally
 /// weighted vote" — every configuration counts the same.

@@ -79,7 +79,7 @@ pub enum CthldMetric {
     Default,
     /// Maximize the F-Score.
     FScore,
-    /// SD(1,1) [46]: minimize the Euclidean distance to (recall, precision)
+    /// SD(1,1) \[46\]: minimize the Euclidean distance to (recall, precision)
     /// = (1, 1).
     Sd11,
     /// Maximize the PC-Score for a preference — Opprentice's choice.

@@ -27,8 +27,7 @@
 //! ([`opprentice_numeric::parallel::configured_threads`]).
 
 use opprentice_detectors::fused::{plan, FusedUnit};
-use opprentice_detectors::registry;
-use opprentice_detectors::registry::ConfiguredDetector;
+use opprentice_detectors::{registry, DetectorSpec};
 use opprentice_learn::Dataset;
 use opprentice_numeric::parallel::configured_threads;
 use opprentice_timeseries::{Labels, TimeSeries};
@@ -194,10 +193,9 @@ impl FeatureMatrix {
 /// pool (the offline face of [`OnlineExtractor`]; outputs are
 /// bit-identical to streaming extraction).
 ///
-/// Columns are written at each configuration's `index`, so `configs` must
-/// carry dense indices `0..configs.len()` (the registry's natural shape)
-/// and must be freshly built (unobserved).
-pub fn extract_with(configs: Vec<ConfiguredDetector>, series: &TimeSeries) -> FeatureMatrix {
+/// Column `c` of the matrix is `configs[c]`, whatever subset or order the
+/// caller picked.
+pub fn extract_with(configs: &[DetectorSpec], series: &TimeSeries) -> FeatureMatrix {
     let mut extractor = OnlineExtractor::with_configs(configs);
     let mut matrix = FeatureMatrix::new(extractor.labels());
     let points: Vec<(i64, Option<f64>)> = series.iter().collect();
@@ -237,7 +235,7 @@ pub(crate) fn replay(
 
 /// Runs the full Table 3 registry (133 configurations) over the series.
 pub fn extract_features(series: &TimeSeries) -> FeatureMatrix {
-    extract_with(registry(series.interval()), series)
+    extract_with(&registry(series.interval()), series)
 }
 
 /// Batches below this size are extracted inline — worker hand-off costs
@@ -433,30 +431,25 @@ pub struct OnlineExtractor {
 impl OnlineExtractor {
     /// Creates the extractor with the full registry for `interval`.
     pub fn new(interval: u32) -> Self {
-        Self::with_configs(registry(interval))
+        Self::with_configs(&registry(interval))
     }
 
     /// Creates the extractor over an explicit configuration set — e.g. a
     /// pruned feature set from `opprentice_learn::feature_select`, or a
     /// sibling KPI's registry for cross-KPI transfer.
     ///
-    /// Column `c` of the output is `configs[c]`; each configuration's
-    /// `index` is rewritten to its column so rows and labels always line
-    /// up, whatever subset or order the caller picked. The configurations
-    /// must be freshly built (unobserved): fused kernels reconstruct each
-    /// family's state from its [`opprentice_detectors::registry::DetectorSpec`],
-    /// so pre-advanced detector state would be discarded.
+    /// Column `c` of the output is `configs[c]`, whatever subset or order
+    /// the caller picked. Boxed detectors are built only for the
+    /// configurations no fused kernel covers
+    /// ([`opprentice_detectors::fused::plan`]).
     ///
     /// # Panics
     ///
     /// Panics if `configs` is empty.
-    pub fn with_configs(mut configs: Vec<ConfiguredDetector>) -> Self {
+    pub fn with_configs(configs: &[DetectorSpec]) -> Self {
         assert!(!configs.is_empty(), "need at least one configuration");
-        let labels: Vec<String> = configs.iter().map(ConfiguredDetector::label).collect();
+        let labels: Vec<String> = configs.iter().map(DetectorSpec::label).collect();
         let m = configs.len();
-        for (column, cfg) in configs.iter_mut().enumerate() {
-            cfg.index = column;
-        }
 
         let units: Vec<Unit> = plan(configs)
             .into_iter()
@@ -510,7 +503,7 @@ impl OnlineExtractor {
 
     /// Measured per-family extraction cost (batched path only), aggregated
     /// across each family's fused units and sorted by family name. Powers
-    /// the serving benchmark's attribution and the STATUS breakdown.
+    /// the serving benchmark's per-family attribution.
     pub fn family_stats(&self) -> Vec<FamilyStat> {
         let mut stats: Vec<FamilyStat> = Vec::new();
         for shard in &self.shards {
@@ -540,7 +533,7 @@ impl OnlineExtractor {
 
     /// Re-packs units onto shards from the live cost estimates. Called
     /// automatically after the first batch and then every
-    /// [`REBALANCE_POINTS`] batched points; public so benchmarks and tests
+    /// `REBALANCE_POINTS` batched points; public so benchmarks and tests
     /// can force it. Never changes extraction output — placement is pure
     /// scheduling.
     pub fn rebalance_now(&mut self) {

@@ -8,7 +8,7 @@
 //! thresholds. Instead:
 //!
 //! 1. **Operators only label anomalies** (in windows, with a convenient
-//!    tool — here, [`opprentice_datagen::SimulatedOperator`] plays that
+//!    tool — here, `opprentice_datagen::SimulatedOperator` plays that
 //!    role for synthetic data).
 //! 2. **Existing detectors become feature extractors** (§4.3): the 133
 //!    configurations of 14 detectors each emit a severity per point

@@ -1,4 +1,4 @@
-//! The ARIMA detector [10] — the one configuration of Table 3 whose
+//! The ARIMA detector \[10\] — the one configuration of Table 3 whose
 //! parameters are *estimated from the data* instead of swept (§4.3.3):
 //! "their parameter spaces can be too large even for sampling. To deal with
 //! such detectors, we estimate their 'best' parameters from the data …
@@ -11,7 +11,7 @@
 //! point with the one-step-ahead forecast residual.
 
 use crate::Detector;
-use opprentice_numeric::arima::{auto_fit, ArimaState};
+use opprentice_numeric::arima::{auto_fit, ArimaOrder, ArimaState};
 
 /// Points of history used for each (re-)estimation.
 const FIT_WINDOW: usize = 2016;
@@ -21,7 +21,6 @@ const MIN_FIT: usize = 256;
 /// The self-tuning ARIMA detector.
 #[derive(Debug, Clone)]
 pub struct ArimaDetector {
-    interval: u32,
     /// Trailing raw values used for refits.
     history: Vec<f64>,
     state: Option<ArimaState>,
@@ -35,12 +34,17 @@ impl ArimaDetector {
     pub fn new(interval: u32) -> Self {
         let ppw = (7 * 86_400 / i64::from(interval)) as usize;
         Self {
-            interval,
             history: Vec::new(),
             state: None,
             points_since_fit: 0,
             refit_every: ppw,
         }
+    }
+
+    /// The order of the model currently in use; `None` until the first
+    /// estimation.
+    pub fn order(&self) -> Option<ArimaOrder> {
+        self.state.as_ref().map(|s| s.model().order)
     }
 
     fn maybe_fit(&mut self) {
@@ -100,21 +104,6 @@ impl Detector for ArimaDetector {
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
     }
-
-    fn name(&self) -> &'static str {
-        "ARIMA"
-    }
-
-    fn config(&self) -> String {
-        let _ = self.interval;
-        match &self.state {
-            Some(s) => {
-                let o = s.model().order;
-                format!("estimated ({},{},{})", o.p, o.d, o.q)
-            }
-            None => "estimated (pending)".to_string(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,13 +160,17 @@ mod tests {
 
     #[test]
     fn config_reports_estimated_orders() {
+        let spec = crate::registry::DetectorSpec::Arima { interval: 3600 };
+        assert_eq!(spec.params(), "estimated (pending)");
         let mut d = ArimaDetector::new(3600);
-        assert_eq!(d.config(), "estimated (pending)");
+        assert_eq!(d.order(), None);
         for (i, &v) in series(MIN_FIT + 10).iter().enumerate() {
             d.observe(i as i64 * 3600, Some(v));
         }
-        assert!(d.config().starts_with("estimated ("));
-        assert!(!d.config().contains("pending"));
+        assert!(
+            d.order().is_some(),
+            "no order estimated after MIN_FIT points"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl DiffLag {
         }
     }
 
-    fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DiffLag::LastSlot => "last-slot",
             DiffLag::LastDay => "last-day",
@@ -42,7 +42,6 @@ impl DiffLag {
 /// Severity = |v(t) − v(t − lag)|.
 #[derive(Debug, Clone)]
 pub struct Diff {
-    lag: DiffLag,
     lag_points: usize,
     /// Ring of the last `lag_points` raw values (missing kept as `None`) so
     /// the lag stays aligned in *time* even through gaps.
@@ -54,7 +53,6 @@ impl Diff {
     pub fn new(lag: DiffLag, interval: u32) -> Self {
         let lag_points = lag.points(interval);
         Self {
-            lag,
             lag_points,
             ring: VecDeque::with_capacity(lag_points),
         }
@@ -76,14 +74,6 @@ impl Detector for Diff {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "diff"
-    }
-
-    fn config(&self) -> String {
-        self.lag.label().to_string()
     }
 }
 

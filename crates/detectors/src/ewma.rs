@@ -1,4 +1,4 @@
-//! The EWMA detector [11]: a prediction-based detector whose forecast is an
+//! The EWMA detector \[11\]: a prediction-based detector whose forecast is an
 //! exponentially weighted moving average of the history.
 //!
 //! §4.3.3 uses it as the canonical example of parameter sweeping: "EWMA has
@@ -37,14 +37,6 @@ impl Detector for EwmaDetector {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "EWMA"
-    }
-
-    fn config(&self) -> String {
-        format!("alpha={}", self.smoother.alpha())
     }
 }
 

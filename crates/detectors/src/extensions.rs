@@ -16,7 +16,7 @@
 //! 133 — the `extension` bench binary shows the forest absorbing them with
 //! zero manual tuning.
 
-use crate::registry::{registry, ConfiguredDetector, DetectorSpec};
+use crate::registry::{registry, DetectorSpec};
 use crate::Detector;
 use opprentice_numeric::stats;
 use opprentice_timeseries::slot_of_day;
@@ -83,14 +83,6 @@ impl Detector for Cusum {
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
     }
-
-    fn name(&self) -> &'static str {
-        "CUSUM"
-    }
-
-    fn config(&self) -> String {
-        format!("k={},win={} points", self.k, self.win)
-    }
 }
 
 /// Order-statistics detector: how far outside the trailing window's
@@ -151,14 +143,6 @@ impl Detector for SlidingPercentile {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "sliding percentile"
-    }
-
-    fn config(&self) -> String {
-        format!("q={},win={} points", self.q, self.win)
     }
 }
 
@@ -232,47 +216,25 @@ impl Detector for SeasonalEsd {
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
     }
-
-    fn name(&self) -> &'static str {
-        "seasonal ESD"
-    }
-
-    fn config(&self) -> String {
-        format!("days={}", self.days)
-    }
 }
 
 /// The standard 133 configurations plus sampled configurations of the three
 /// extension detectors (coarse grids, §4.3.3 style — no tuning).
-pub fn extended_registry(interval: u32) -> Vec<ConfiguredDetector> {
+pub fn extended_registry(interval: u32) -> Vec<DetectorSpec> {
     let mut out = registry(interval);
-    let mut extra: Vec<Box<dyn Detector>> = Vec::new();
     for k in [0.5, 1.0] {
         for win in [60usize, 240] {
-            extra.push(Box::new(Cusum::new(k, win)));
+            out.push(DetectorSpec::Cusum { k, win });
         }
     }
     for q in [0.01, 0.05] {
         for win in [120usize, 480] {
-            extra.push(Box::new(SlidingPercentile::new(q, win)));
+            out.push(DetectorSpec::SlidingPercentile { q, win });
         }
     }
     for days in [7usize, 14] {
-        extra.push(Box::new(SeasonalEsd::new(days, interval)));
+        out.push(DetectorSpec::SeasonalEsd { days, interval });
     }
-    let base = out.len();
-    out.extend(
-        extra
-            .into_iter()
-            .enumerate()
-            .map(|(i, detector)| ConfiguredDetector {
-                index: base + i,
-                // Extension detectors have no fused kernel; they run
-                // through their boxed `Detector` unchanged.
-                spec: DetectorSpec::Opaque,
-                detector,
-            }),
-    );
     out
 }
 
@@ -345,11 +307,9 @@ mod tests {
     fn extended_registry_appends_ten_configs() {
         let ext = extended_registry(3600);
         assert_eq!(ext.len(), 143);
-        for (i, c) in ext.iter().enumerate() {
-            assert_eq!(c.index, i);
-        }
+        assert_eq!(ext[..133], registry(3600)[..]);
         // Labels stay unique.
-        let mut labels: Vec<String> = ext.iter().map(ConfiguredDetector::label).collect();
+        let mut labels: Vec<String> = ext.iter().map(DetectorSpec::label).collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 143);
@@ -357,19 +317,15 @@ mod tests {
 
     #[test]
     fn extensions_respect_the_detector_contract() {
-        for cfg in extended_registry(3600).iter_mut().skip(133) {
+        for spec in &extended_registry(3600)[133..] {
+            let mut d = spec.detector();
             // Missing input: no verdict.
-            assert_eq!(
-                cfg.detector.observe(0, None),
-                None,
-                "{}",
-                cfg.detector.name()
-            );
+            assert_eq!(d.observe(0, None), None, "{}", spec.name());
             // Severities finite and non-negative over a noisy run.
             for i in 0..600 {
                 let v = 100.0 + ((i * 37) % 23) as f64;
-                if let Some(s) = cfg.detector.observe(i as i64 * 3600, Some(v)) {
-                    assert!(s.is_finite() && s >= 0.0, "{}", cfg.detector.name());
+                if let Some(s) = d.observe(i as i64 * 3600, Some(v)) {
+                    assert!(s.is_finite() && s >= 0.0, "{}", spec.name());
                 }
             }
         }

@@ -34,20 +34,19 @@
 //! [`crate::wavelet::FusedWavelet`]) live next to the scalar detectors
 //! they replay; [`plan`] fuses them like the rest.
 //!
-//! Kernels apply [`crate::clamp_severity`]'s clamp internally, mirroring
-//! [`crate::registry::ConfiguredDetector::observe_clamped`] — the choke
-//! point the unfused extraction paths go through.
+//! Kernels apply [`crate::clamp_severity`]'s clamp internally, as
+//! [`ScalarKernel`] does for the unfused configurations.
 
-use crate::registry::{ConfiguredDetector, DetectorSpec};
+use crate::registry::DetectorSpec;
 use crate::svd::FusedSvd;
 use crate::wavelet::{Band, FusedWavelet};
-use crate::MAX_SEVERITY;
+use crate::{Detector, MAX_SEVERITY};
 use opprentice_numeric::rolling::{mad_of_sorted, median_of_sorted, SlotRings, SortedWindow};
 use opprentice_timeseries::{slot_of_day, slot_of_week};
 use std::collections::VecDeque;
 
 /// An online severity extractor for a *batch of configurations* — the
-/// fused counterpart of [`Detector`](crate::Detector).
+/// fused counterpart of [`Detector`].
 ///
 /// One call to [`FamilyKernel::observe`] advances every fused
 /// configuration by one point and writes one clamped severity per config
@@ -67,7 +66,7 @@ pub trait FamilyKernel: Send {
 
     /// A boxed deep copy; the clone's severity streams continue exactly
     /// where the original's were (the same clone-determinism contract as
-    /// [`Detector::clone_box`](crate::Detector::clone_box)).
+    /// [`Detector::clone_box`]).
     fn clone_box(&self) -> Box<dyn FamilyKernel>;
 
     /// Family display name for attribution (e.g. `"Holt-Winters"`; a
@@ -86,16 +85,22 @@ fn clamp(s: f64) -> Option<f64> {
 // Scalar fallback
 // --------------------------------------------------------------------------
 
-/// Fallback kernel: runs one [`ConfiguredDetector`] through its boxed
-/// [`Detector`](crate::Detector). Used for configurations without a fused
-/// kernel (simple threshold, ARIMA, extensions).
+/// Fallback kernel: runs one configuration through its boxed [`Detector`].
+/// Used for configurations without a fused kernel (simple threshold,
+/// ARIMA, extensions).
 #[derive(Clone)]
-pub struct ScalarKernel(ConfiguredDetector);
+pub struct ScalarKernel {
+    family: &'static str,
+    detector: Box<dyn Detector>,
+}
 
 impl ScalarKernel {
-    /// Wraps one configuration.
-    pub fn new(det: ConfiguredDetector) -> Self {
-        Self(det)
+    /// Builds the configuration's detector ([`DetectorSpec::detector`]).
+    pub fn new(spec: &DetectorSpec) -> Self {
+        Self {
+            family: spec.name(),
+            detector: spec.detector(),
+        }
     }
 }
 
@@ -106,7 +111,7 @@ impl FamilyKernel for ScalarKernel {
 
     fn observe(&mut self, timestamp: i64, value: Option<f64>, out: &mut [Option<f64>]) {
         assert_eq!(out.len(), 1, "output width mismatch");
-        out[0] = self.0.observe_clamped(timestamp, value);
+        out[0] = crate::clamp_severity(self.detector.observe(timestamp, value));
     }
 
     fn clone_box(&self) -> Box<dyn FamilyKernel> {
@@ -114,7 +119,7 @@ impl FamilyKernel for ScalarKernel {
     }
 
     fn family(&self) -> &'static str {
-        self.0.detector.name()
+        self.family
     }
 }
 
@@ -529,8 +534,8 @@ impl FamilyKernel for FusedEwma {
 /// *Residual spread.* Every lane pushes a residual on exactly the same
 /// points — "this slot's history is non-empty" does not depend on the
 /// window length — and refreshes its spread on exactly the same points
-/// (the first residual, then every [`crate::tsd::SPREAD_REFRESH`]th), so
-/// one residual count and one refresh counter serve the kernel. The plain
+/// (the first residual, then every `SPREAD_REFRESH`th), so one residual
+/// count and one refresh counter serve the kernel. The plain
 /// lanes' residuals share one time-major, lane-minor ring, swept once per
 /// refresh with one accumulator per lane (each lane's summation order is
 /// its scalar ring order); the MAD lanes keep a [`SortedWindow`] each.
@@ -1058,7 +1063,8 @@ impl FamilyKernel for FusedHoltWinters {
 pub struct FusedUnit {
     /// The kernel advancing this unit's configurations.
     pub kernel: Box<dyn FamilyKernel>,
-    /// Output column (the configuration's `index`) of each lane.
+    /// Output column (the configuration's position in the planned slice)
+    /// of each lane.
     pub columns: Vec<usize>,
 }
 
@@ -1091,31 +1097,34 @@ fn fuse_key(spec: &DetectorSpec) -> Option<FuseKey> {
         DetectorSpec::HoltWinters { interval, .. } => Some(FuseKey::HoltWinters(interval)),
         DetectorSpec::Svd { .. } => Some(FuseKey::Svd),
         DetectorSpec::Wavelet { interval, .. } => Some(FuseKey::Wavelet(interval)),
-        DetectorSpec::SimpleThreshold | DetectorSpec::Opaque => None,
+        DetectorSpec::SimpleThreshold
+        | DetectorSpec::Arima { .. }
+        | DetectorSpec::Cusum { .. }
+        | DetectorSpec::SlidingPercentile { .. }
+        | DetectorSpec::SeasonalEsd { .. } => None,
     }
 }
 
 /// Builds one kernel from a run of same-key configurations.
-fn build_unit(run: Vec<ConfiguredDetector>, key: FuseKey) -> FusedUnit {
-    let columns: Vec<usize> = run.iter().map(|c| c.index).collect();
-    let kernel: Box<dyn FamilyKernel> = match key {
+fn build_kernel(run: &[DetectorSpec], key: FuseKey) -> Box<dyn FamilyKernel> {
+    match key {
         FuseKey::Diff(interval) => {
             let lags = run
                 .iter()
-                .map(|c| match c.spec {
+                .map(|spec| match *spec {
                     DetectorSpec::Diff { lag, .. } => lag.points(interval),
                     _ => unreachable!("mixed run"),
                 })
                 .collect();
             Box::new(FusedDiff::new(lags))
         }
-        FuseKey::SimpleMa => Box::new(FusedSimpleMa::new(spec_wins(&run))),
-        FuseKey::WeightedMa => Box::new(FusedWeightedMa::new(spec_wins(&run))),
-        FuseKey::MaOfDiff => Box::new(FusedMaOfDiff::new(spec_wins(&run))),
+        FuseKey::SimpleMa => Box::new(FusedSimpleMa::new(spec_wins(run))),
+        FuseKey::WeightedMa => Box::new(FusedWeightedMa::new(spec_wins(run))),
+        FuseKey::MaOfDiff => Box::new(FusedMaOfDiff::new(spec_wins(run))),
         FuseKey::Ewma => {
             let alphas = run
                 .iter()
-                .map(|c| match c.spec {
+                .map(|spec| match *spec {
                     DetectorSpec::Ewma { alpha } => alpha,
                     _ => unreachable!("mixed run"),
                 })
@@ -1125,7 +1134,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: FuseKey) -> FusedUnit {
         FuseKey::Tsd(interval) => {
             let cfgs: Vec<(usize, bool)> = run
                 .iter()
-                .map(|c| match c.spec {
+                .map(|spec| match *spec {
                     DetectorSpec::Tsd { weeks, robust, .. } => (weeks, robust),
                     _ => unreachable!("mixed run"),
                 })
@@ -1135,7 +1144,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: FuseKey) -> FusedUnit {
         FuseKey::Historical(interval) => {
             let cfgs: Vec<(usize, bool)> = run
                 .iter()
-                .map(|c| match c.spec {
+                .map(|spec| match *spec {
                     DetectorSpec::Historical { weeks, robust, .. } => (weeks, robust),
                     _ => unreachable!("mixed run"),
                 })
@@ -1145,7 +1154,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: FuseKey) -> FusedUnit {
         FuseKey::Svd => {
             let cfgs: Vec<(usize, usize)> = run
                 .iter()
-                .map(|c| match c.spec {
+                .map(|spec| match *spec {
                     DetectorSpec::Svd { rows, cols } => (rows, cols),
                     _ => unreachable!("mixed run"),
                 })
@@ -1155,7 +1164,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: FuseKey) -> FusedUnit {
         FuseKey::Wavelet(interval) => {
             let cfgs: Vec<(usize, Band)> = run
                 .iter()
-                .map(|c| match c.spec {
+                .map(|spec| match *spec {
                     DetectorSpec::Wavelet { win_days, band, .. } => (win_days, band),
                     _ => unreachable!("mixed run"),
                 })
@@ -1165,7 +1174,7 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: FuseKey) -> FusedUnit {
         FuseKey::HoltWinters(interval) => {
             let params: Vec<(f64, f64, f64)> = run
                 .iter()
-                .map(|c| match c.spec {
+                .map(|spec| match *spec {
                     DetectorSpec::HoltWinters {
                         alpha, beta, gamma, ..
                     } => (alpha, beta, gamma),
@@ -1174,13 +1183,12 @@ fn build_unit(run: Vec<ConfiguredDetector>, key: FuseKey) -> FusedUnit {
                 .collect();
             Box::new(FusedHoltWinters::new(&params, interval))
         }
-    };
-    FusedUnit { kernel, columns }
+    }
 }
 
-fn spec_wins(run: &[ConfiguredDetector]) -> Vec<usize> {
+fn spec_wins(run: &[DetectorSpec]) -> Vec<usize> {
     run.iter()
-        .map(|c| match c.spec {
+        .map(|spec| match *spec {
             DetectorSpec::SimpleMa { win }
             | DetectorSpec::WeightedMa { win }
             | DetectorSpec::MaOfDiff { win } => win,
@@ -1193,29 +1201,34 @@ fn spec_wins(run: &[ConfiguredDetector]) -> Vec<usize> {
 ///
 /// Adjacent configurations with the same fusable family (and interval)
 /// become one fused kernel; every other configuration is a unit of its own
-/// ([`ScalarKernel`]). Works on any subset and order: pruned sets in
-/// registry order fuse exactly like the full registry, just with fewer
-/// lanes.
-///
-/// The configurations must be *fresh* (unobserved): fused kernels rebuild
-/// the family's state from [`DetectorSpec`], so pre-advanced detector
-/// state would be discarded.
-pub fn plan(configs: Vec<ConfiguredDetector>) -> Vec<FusedUnit> {
+/// ([`ScalarKernel`], the only place extraction builds a boxed detector).
+/// Works on any subset and order: pruned sets in registry order fuse
+/// exactly like the full registry, just with fewer lanes. A unit's columns
+/// are its configurations' positions in `specs`.
+pub fn plan(specs: &[DetectorSpec]) -> Vec<FusedUnit> {
     let mut units = Vec::new();
-    let mut iter = configs.into_iter().peekable();
-    while let Some(first) = iter.next() {
-        let Some(key) = fuse_key(&first.spec) else {
-            units.push(FusedUnit {
-                columns: vec![first.index],
-                kernel: Box::new(ScalarKernel::new(first)),
-            });
-            continue;
+    let mut start = 0;
+    while start < specs.len() {
+        let key = fuse_key(&specs[start]);
+        let end = match key {
+            Some(_) => {
+                start
+                    + specs[start..]
+                        .iter()
+                        .take_while(|s| fuse_key(s) == key)
+                        .count()
+            }
+            None => start + 1,
         };
-        let mut run = vec![first];
-        while let Some(next) = iter.next_if(|c| fuse_key(&c.spec) == Some(key)) {
-            run.push(next);
-        }
-        units.push(build_unit(run, key));
+        let kernel: Box<dyn FamilyKernel> = match key {
+            Some(key) => build_kernel(&specs[start..end], key),
+            None => Box::new(ScalarKernel::new(&specs[start])),
+        };
+        units.push(FusedUnit {
+            kernel,
+            columns: (start..end).collect(),
+        });
+        start = end;
     }
     units
 }
@@ -1244,35 +1257,39 @@ mod tests {
             .collect()
     }
 
-    /// Every registry unit's fused output must equal the scalar detectors'
-    /// clamped severities bit-for-bit (the full-registry sweep with random
-    /// chunking lives in `tests/fused_differential.rs`).
-    #[test]
-    fn fused_units_match_scalar_bit_for_bit() {
-        let units = plan(registry(3600));
-        let mut oracle = registry(3600);
-        let points = stream(24 * 8);
+    /// Feeds `points` through every unit of `plan(specs)` and checks each
+    /// lane against a scalar detector built from its spec.
+    fn assert_units_match_scalar(specs: &[DetectorSpec], points: &[(i64, Option<f64>)]) {
+        let mut oracle: Vec<Box<dyn Detector>> = specs.iter().map(DetectorSpec::detector).collect();
         let mut row = vec![None; 64];
-        for mut unit in units {
+        for mut unit in plan(specs) {
             let k = unit.kernel.n_configs();
-            for &(ts, v) in &points {
+            for &(ts, v) in points {
                 unit.kernel.observe(ts, v, &mut row[..k]);
                 for (j, &c) in unit.columns.iter().enumerate() {
-                    let expect = oracle[c].observe_clamped(ts, v);
+                    let expect = crate::clamp_severity(oracle[c].observe(ts, v));
                     assert_eq!(
                         row[j].map(f64::to_bits),
                         expect.map(f64::to_bits),
                         "{} col {c} ts {ts}",
-                        oracle[c].label()
+                        specs[c].label()
                     );
                 }
             }
         }
     }
 
+    /// Every registry unit's fused output must equal the scalar detectors'
+    /// clamped severities bit-for-bit (the full-registry sweep with random
+    /// chunking lives in `tests/fused_differential.rs`).
+    #[test]
+    fn fused_units_match_scalar_bit_for_bit() {
+        assert_units_match_scalar(&registry(3600), &stream(24 * 8));
+    }
+
     #[test]
     fn registry_plan_fuses_the_expected_families() {
-        let units = plan(registry(3600));
+        let units = plan(&registry(3600));
         let total: usize = units.iter().map(|u| u.columns.len()).sum();
         assert_eq!(total, 133);
         // Columns are a permutation of 0..133 in order.
@@ -1295,13 +1312,18 @@ mod tests {
         assert!(sizes.contains(&("wavelet", 9)));
         assert!(sizes.contains(&("ARIMA", 1)));
         assert!(sizes.contains(&("simple threshold", 1)));
+        assert_eq!(
+            units.len(),
+            12,
+            "two unfused units: simple threshold and ARIMA"
+        );
     }
 
     #[test]
     fn fused_kernels_clone_mid_stream() {
         let points = stream(24 * 6);
         let (head, tail) = points.split_at(points.len() / 2);
-        for mut unit in plan(registry(3600)) {
+        for mut unit in plan(&registry(3600)) {
             let k = unit.kernel.n_configs();
             let mut a = vec![None; k];
             let mut b = vec![None; k];
@@ -1326,28 +1348,7 @@ mod tests {
     fn pruned_subsets_still_fuse_and_match() {
         // Keep every third config (registry order): fused lanes shrink but
         // severities must not change.
-        let keep: Vec<usize> = (0..133).filter(|i| i % 3 == 0).collect();
-        let subset: Vec<ConfiguredDetector> = registry(3600)
-            .into_iter()
-            .filter(|c| keep.contains(&c.index))
-            .collect();
-        let mut oracle = registry(3600);
-        let units = plan(subset);
-        let points = stream(24 * 6);
-        let mut row = vec![None; 64];
-        for mut unit in units {
-            let k = unit.kernel.n_configs();
-            for &(ts, v) in &points {
-                unit.kernel.observe(ts, v, &mut row[..k]);
-                for (j, &c) in unit.columns.iter().enumerate() {
-                    let expect = oracle[c].observe_clamped(ts, v);
-                    assert_eq!(
-                        row[j].map(f64::to_bits),
-                        expect.map(f64::to_bits),
-                        "col {c} ts {ts}"
-                    );
-                }
-            }
-        }
+        let subset: Vec<DetectorSpec> = registry(3600).into_iter().step_by(3).collect();
+        assert_units_match_scalar(&subset, &stream(24 * 6));
     }
 }

@@ -1,10 +1,10 @@
-//! Historical average [5] and its MAD variant (Table 3, win = 1..5 weeks).
+//! Historical average \[5\] and its MAD variant (Table 3, win = 1..5 weeks).
 //!
 //! §4.3.1: "historical average assumes the data follow Gaussian
 //! distribution, and uses how many times of standard deviation the point is
 //! away from the mean as the severity." The Gaussian is fit per *slot of the
 //! day* over the trailing `win` weeks (i.e. `7 · win` same-time-of-day
-//! samples), following the time-of-day modeling of [5]. The MAD variant
+//! samples), following the time-of-day modeling of \[5\]. The MAD variant
 //! replaces mean/σ with median/MAD.
 
 use crate::Detector;
@@ -17,7 +17,6 @@ pub(crate) const MIN_HISTORY: usize = 5;
 /// The historical average / historical MAD detector.
 #[derive(Debug, Clone)]
 pub struct HistoricalAverage {
-    weeks: usize,
     robust: bool,
     interval: u32,
     /// Per-slot-of-day history, up to `7 * weeks` entries each.
@@ -35,7 +34,6 @@ impl HistoricalAverage {
         assert!(weeks > 0, "weeks must be positive");
         let ppd = (86_400 / i64::from(interval)) as usize;
         Self {
-            weeks,
             robust,
             interval,
             per_slot: vec![SortedWindow::new(7 * weeks); ppd],
@@ -73,18 +71,6 @@ impl Detector for HistoricalAverage {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        if self.robust {
-            "historical MAD"
-        } else {
-            "historical average"
-        }
-    }
-
-    fn config(&self) -> String {
-        format!("win={} week(s)", self.weeks)
     }
 }
 

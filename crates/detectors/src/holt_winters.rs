@@ -1,4 +1,4 @@
-//! The Holt–Winters detector [6]: triple exponential smoothing with a daily
+//! The Holt–Winters detector \[6\]: triple exponential smoothing with a daily
 //! season. §4.3.1: "Holt-Winters uses the residual error (i.e., the absolute
 //! difference between the actual value and the forecast value of each data
 //! point) to measure the severity."
@@ -12,9 +12,6 @@ use opprentice_numeric::smoothing::HoltWinters;
 /// The Holt–Winters prediction detector.
 #[derive(Debug, Clone)]
 pub struct HoltWintersDetector {
-    alpha: f64,
-    beta: f64,
-    gamma: f64,
     smoother: HoltWinters,
     last_value: Option<f64>,
 }
@@ -30,9 +27,6 @@ impl HoltWintersDetector {
     pub fn new(alpha: f64, beta: f64, gamma: f64, interval: u32) -> Self {
         let season = (86_400 / i64::from(interval)) as usize;
         Self {
-            alpha,
-            beta,
-            gamma,
             smoother: HoltWinters::new(alpha, beta, gamma, season),
             last_value: None,
         }
@@ -59,17 +53,6 @@ impl Detector for HoltWintersDetector {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "Holt-Winters"
-    }
-
-    fn config(&self) -> String {
-        format!(
-            "alpha={},beta={},gamma={}",
-            self.alpha, self.beta, self.gamma
-        )
     }
 }
 
@@ -130,7 +113,12 @@ mod tests {
 
     #[test]
     fn config_string_reflects_parameters() {
-        let d = HoltWintersDetector::new(0.2, 0.4, 0.8, 60);
-        assert_eq!(d.config(), "alpha=0.2,beta=0.4,gamma=0.8");
+        let spec = crate::registry::DetectorSpec::HoltWinters {
+            alpha: 0.2,
+            beta: 0.4,
+            gamma: 0.8,
+            interval: 60,
+        };
+        assert_eq!(spec.params(), "alpha=0.2,beta=0.4,gamma=0.8");
     }
 }

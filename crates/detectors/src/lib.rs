@@ -15,11 +15,12 @@
 //! "skips the detection of the data in the warm-up window" (§4.3.2).
 //!
 //! In Opprentice the severities are **features**, not verdicts: §4.3.1
-//! "a configuration acts as a feature extractor". The [`registry`] module
-//! builds the exact 133 configurations of Table 3. A severity can still be
-//! turned into the traditional binary verdict by comparing against an
-//! sThld — [`apply_sthld`] — which is how the basic-detector baselines and
-//! the static combiners of §5.3.1 are evaluated.
+//! "a configuration acts as a feature extractor". The [`mod@registry`]
+//! module describes the exact 133 configurations of Table 3 as
+//! [`DetectorSpec`]s. A severity can still be turned into the traditional
+//! binary verdict by comparing against an sThld — [`apply_sthld`] — which
+//! is how the basic-detector baselines and the static combiners of §5.3.1
+//! are evaluated.
 //!
 //! | Detector | configs | parameters (Table 3) |
 //! |---|---|---|
@@ -56,7 +57,7 @@ pub mod svd;
 pub mod tsd;
 pub mod wavelet;
 
-pub use registry::{registry, ConfiguredDetector};
+pub use registry::{registry, DetectorSpec};
 
 /// An online anomaly-severity extractor (§4.3.1's unified detector model).
 ///
@@ -75,12 +76,12 @@ pub trait Detector: Send {
     /// severity streams (the clone-determinism contract behind snapshots
     /// and RESUME).
     fn clone_box(&self) -> Box<dyn Detector>;
+}
 
-    /// The detector family name, e.g. `"TSD MAD"`.
-    fn name(&self) -> &'static str;
-
-    /// Human-readable parameter description, e.g. `"win=3 weeks"`.
-    fn config(&self) -> String;
+impl Clone for Box<dyn Detector> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }
 
 /// Upper bound applied to severities at the framework boundary.

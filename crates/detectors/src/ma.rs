@@ -1,4 +1,4 @@
-//! The moving-average family: simple MA [4], weighted MA [11] and
+//! The moving-average family: simple MA \[4\], weighted MA \[11\] and
 //! "MA of diff" — the second detector the studied search engine already ran
 //! (§5.2), "designed to discover continuous jitters".
 //!
@@ -57,14 +57,6 @@ impl Detector for SimpleMa {
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
     }
-
-    fn name(&self) -> &'static str {
-        "simple MA"
-    }
-
-    fn config(&self) -> String {
-        format!("win={} points", self.win)
-    }
 }
 
 /// Linearly weighted moving average: recent points weigh more.
@@ -114,14 +106,6 @@ impl Detector for WeightedMa {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted MA"
-    }
-
-    fn config(&self) -> String {
-        format!("win={} points", self.win)
     }
 }
 
@@ -180,14 +164,6 @@ impl Detector for MaOfDiff {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "MA of diff"
-    }
-
-    fn config(&self) -> String {
-        format!("win={} points", self.win)
     }
 }
 

@@ -8,6 +8,7 @@
 use crate::arima::ArimaDetector;
 use crate::diff::{Diff, DiffLag};
 use crate::ewma::EwmaDetector;
+use crate::extensions::{Cusum, SeasonalEsd, SlidingPercentile};
 use crate::historical::HistoricalAverage;
 use crate::holt_winters::HoltWintersDetector;
 use crate::ma::{MaOfDiff, SimpleMa, WeightedMa};
@@ -17,13 +18,14 @@ use crate::tsd::Tsd;
 use crate::wavelet::{Band, WaveletDetector};
 use crate::Detector;
 
-/// Machine-readable family + parameters of one configuration.
+/// One configuration: a detector family plus its sampled parameters
+/// (§4.3.1), and the only description of it the crate keeps.
 ///
-/// This is what the config-fused extraction engine (`fused::plan`) keys on
-/// to group adjacent same-family configurations into one
-/// structure-of-arrays kernel. Families without a fused kernel — and any
-/// detector added outside this registry — use [`DetectorSpec::Opaque`] and
-/// run through their boxed [`Detector`] unchanged.
+/// The config-fused extraction engine ([`crate::fused::plan`]) builds its
+/// kernels from specs, [`DetectorSpec::detector`] builds the scalar
+/// detector where nothing is fused (and for the test oracles), and
+/// [`DetectorSpec::label`] names the feature column. A spec holds no
+/// state, so it can be copied, reordered and rebuilt freely.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DetectorSpec {
     /// Simple threshold (stateless).
@@ -102,48 +104,134 @@ pub enum DetectorSpec {
         /// Sampling interval in seconds.
         interval: u32,
     },
-    /// No fused kernel: the boxed detector runs as-is (ARIMA, extension
-    /// detectors).
-    Opaque,
+    /// Self-tuning ARIMA: the order is estimated from the data at run
+    /// time, so the spec carries only the interval.
+    Arima {
+        /// Sampling interval in seconds.
+        interval: u32,
+    },
+    /// Two-sided CUSUM (extension, [`Cusum`]).
+    Cusum {
+        /// Slack in σ absorbed before accumulation.
+        k: f64,
+        /// Baseline window in points.
+        win: usize,
+    },
+    /// Sliding-percentile band (extension, [`SlidingPercentile`]).
+    SlidingPercentile {
+        /// Band quantile, in `(0, 0.5)`.
+        q: f64,
+        /// Window in points.
+        win: usize,
+    },
+    /// Seasonal ESD on per-slot residuals (extension, [`SeasonalEsd`]).
+    SeasonalEsd {
+        /// Seasonal memory in days.
+        days: usize,
+        /// Sampling interval in seconds.
+        interval: u32,
+    },
 }
 
-/// One entry of the registry: a ready-to-run detector configuration.
-pub struct ConfiguredDetector {
-    /// Stable feature index (0..132) — column in the feature matrix.
-    pub index: usize,
-    /// Family + parameters, for the fused extraction engine. Must describe
-    /// `detector` exactly: the fused path rebuilds the family's state from
-    /// the spec, so a spec that disagrees with the boxed detector would
-    /// silently change severities. Use [`DetectorSpec::Opaque`] when in
-    /// doubt — it is always correct, only slower.
-    pub spec: DetectorSpec,
-    /// The boxed detector, fresh (no state).
-    pub detector: Box<dyn Detector>,
-}
-
-impl Clone for ConfiguredDetector {
-    /// Deep-copies the detector state (see [`Detector::clone_box`]); the
-    /// clone's severity stream continues exactly where the original's was.
-    fn clone(&self) -> Self {
-        Self {
-            index: self.index,
-            spec: self.spec,
-            detector: self.detector.clone_box(),
+impl DetectorSpec {
+    /// Builds the configuration's scalar detector, fresh (no state). The
+    /// extraction engine calls this only for the families it does not
+    /// fuse (simple threshold, ARIMA, extensions); for the rest it is the
+    /// reference oracle the fused kernels are tested against.
+    pub fn detector(&self) -> Box<dyn Detector> {
+        match *self {
+            DetectorSpec::SimpleThreshold => Box::new(SimpleThreshold::new()),
+            DetectorSpec::Diff { lag, interval } => Box::new(Diff::new(lag, interval)),
+            DetectorSpec::SimpleMa { win } => Box::new(SimpleMa::new(win)),
+            DetectorSpec::WeightedMa { win } => Box::new(WeightedMa::new(win)),
+            DetectorSpec::MaOfDiff { win } => Box::new(MaOfDiff::new(win)),
+            DetectorSpec::Ewma { alpha } => Box::new(EwmaDetector::new(alpha)),
+            DetectorSpec::Tsd {
+                weeks,
+                robust,
+                interval,
+            } => Box::new(Tsd::new(weeks, robust, interval)),
+            DetectorSpec::Historical {
+                weeks,
+                robust,
+                interval,
+            } => Box::new(HistoricalAverage::new(weeks, robust, interval)),
+            DetectorSpec::HoltWinters {
+                alpha,
+                beta,
+                gamma,
+                interval,
+            } => Box::new(HoltWintersDetector::new(alpha, beta, gamma, interval)),
+            DetectorSpec::Svd { rows, cols } => Box::new(SvdDetector::new(rows, cols)),
+            DetectorSpec::Wavelet {
+                win_days,
+                band,
+                interval,
+            } => Box::new(WaveletDetector::new(win_days, band, interval)),
+            DetectorSpec::Arima { interval } => Box::new(ArimaDetector::new(interval)),
+            DetectorSpec::Cusum { k, win } => Box::new(Cusum::new(k, win)),
+            DetectorSpec::SlidingPercentile { q, win } => Box::new(SlidingPercentile::new(q, win)),
+            DetectorSpec::SeasonalEsd { days, interval } => {
+                Box::new(SeasonalEsd::new(days, interval))
+            }
         }
     }
-}
 
-impl ConfiguredDetector {
-    /// `"<name> (<params>)"` — e.g. `"TSD MAD (win=5 week(s))"`.
-    pub fn label(&self) -> String {
-        format!("{} ({})", self.detector.name(), self.detector.config())
+    /// The detector family name, e.g. `"TSD MAD"`.
+    pub fn name(&self) -> &'static str {
+        match *self {
+            DetectorSpec::SimpleThreshold => "simple threshold",
+            DetectorSpec::Diff { .. } => "diff",
+            DetectorSpec::SimpleMa { .. } => "simple MA",
+            DetectorSpec::WeightedMa { .. } => "weighted MA",
+            DetectorSpec::MaOfDiff { .. } => "MA of diff",
+            DetectorSpec::Ewma { .. } => "EWMA",
+            DetectorSpec::Tsd { robust: false, .. } => "TSD",
+            DetectorSpec::Tsd { robust: true, .. } => "TSD MAD",
+            DetectorSpec::Historical { robust: false, .. } => "historical average",
+            DetectorSpec::Historical { robust: true, .. } => "historical MAD",
+            DetectorSpec::HoltWinters { .. } => "Holt-Winters",
+            DetectorSpec::Svd { .. } => "SVD",
+            DetectorSpec::Wavelet { .. } => "wavelet",
+            DetectorSpec::Arima { .. } => "ARIMA",
+            DetectorSpec::Cusum { .. } => "CUSUM",
+            DetectorSpec::SlidingPercentile { .. } => "sliding percentile",
+            DetectorSpec::SeasonalEsd { .. } => "seasonal ESD",
+        }
     }
 
-    /// [`Detector::observe`] with the framework severity clamp applied —
-    /// the single choke point every unfused extraction path goes through,
-    /// so they cannot drift.
-    pub fn observe_clamped(&mut self, timestamp: i64, value: Option<f64>) -> Option<f64> {
-        crate::clamp_severity(self.detector.observe(timestamp, value))
+    /// Human-readable parameter text, e.g. `"win=3 week(s)"`. ARIMA's
+    /// order is only known once the detector has fitted it, so its spec
+    /// reads `"estimated (pending)"`.
+    pub fn params(&self) -> String {
+        match *self {
+            DetectorSpec::SimpleThreshold => "none".to_string(),
+            DetectorSpec::Diff { lag, .. } => lag.label().to_string(),
+            DetectorSpec::SimpleMa { win }
+            | DetectorSpec::WeightedMa { win }
+            | DetectorSpec::MaOfDiff { win } => format!("win={win} points"),
+            DetectorSpec::Ewma { alpha } => format!("alpha={alpha}"),
+            DetectorSpec::Tsd { weeks, .. } | DetectorSpec::Historical { weeks, .. } => {
+                format!("win={weeks} week(s)")
+            }
+            DetectorSpec::HoltWinters {
+                alpha, beta, gamma, ..
+            } => format!("alpha={alpha},beta={beta},gamma={gamma}"),
+            DetectorSpec::Svd { rows, cols } => format!("row={rows},column={cols}"),
+            DetectorSpec::Wavelet { win_days, band, .. } => {
+                format!("win={win_days} days,freq={}", band.label())
+            }
+            DetectorSpec::Arima { .. } => "estimated (pending)".to_string(),
+            DetectorSpec::Cusum { k, win } => format!("k={k},win={win} points"),
+            DetectorSpec::SlidingPercentile { q, win } => format!("q={q},win={win} points"),
+            DetectorSpec::SeasonalEsd { days, .. } => format!("days={days}"),
+        }
+    }
+
+    /// `"<name> (<params>)"` — e.g. `"TSD MAD (win=5 week(s))"`, the
+    /// feature column's label.
+    pub fn label(&self) -> String {
+        format!("{} ({})", self.name(), self.params())
     }
 }
 
@@ -151,82 +239,52 @@ impl ConfiguredDetector {
 pub const CONFIG_COUNT: usize = 133;
 
 /// Builds the full Table 3 registry for a KPI sampled at `interval`
-/// seconds. Order is deterministic; indices are stable across calls.
+/// seconds. Order is deterministic: a configuration's position is its
+/// feature column.
 ///
 /// # Panics
 ///
 /// Panics if `interval` does not divide a day or leaves fewer than two
 /// points per day ([`opprentice_timeseries::is_supported_interval`]).
-pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
+pub fn registry(interval: u32) -> Vec<DetectorSpec> {
     assert!(
         opprentice_timeseries::is_supported_interval(interval),
         "unsupported interval {interval} s: it must divide 86400 and leave at least 2 points per day"
     );
-    let mut out: Vec<(DetectorSpec, Box<dyn Detector>)> = Vec::with_capacity(CONFIG_COUNT);
-    let mut push = |spec: DetectorSpec, d: Box<dyn Detector>| out.push((spec, d));
+    let mut out = Vec::with_capacity(CONFIG_COUNT);
 
     // Simple threshold [24] — 1 configuration.
-    push(
-        DetectorSpec::SimpleThreshold,
-        Box::new(SimpleThreshold::new()),
-    );
+    out.push(DetectorSpec::SimpleThreshold);
 
     // Diff — last-slot, last-day, last-week.
     for lag in [DiffLag::LastSlot, DiffLag::LastDay, DiffLag::LastWeek] {
-        push(
-            DetectorSpec::Diff { lag, interval },
-            Box::new(Diff::new(lag, interval)),
-        );
+        out.push(DetectorSpec::Diff { lag, interval });
     }
 
     // Simple MA [4], weighted MA [11], MA of diff — win = 10..50 points.
-    for win in [10usize, 20, 30, 40, 50] {
-        push(DetectorSpec::SimpleMa { win }, Box::new(SimpleMa::new(win)));
-    }
-    for win in [10usize, 20, 30, 40, 50] {
-        push(
-            DetectorSpec::WeightedMa { win },
-            Box::new(WeightedMa::new(win)),
-        );
-    }
-    for win in [10usize, 20, 30, 40, 50] {
-        push(DetectorSpec::MaOfDiff { win }, Box::new(MaOfDiff::new(win)));
-    }
+    let wins = [10usize, 20, 30, 40, 50];
+    out.extend(wins.map(|win| DetectorSpec::SimpleMa { win }));
+    out.extend(wins.map(|win| DetectorSpec::WeightedMa { win }));
+    out.extend(wins.map(|win| DetectorSpec::MaOfDiff { win }));
 
     // EWMA [11] — alpha = 0.1, 0.3, 0.5, 0.7, 0.9.
-    for alpha in [0.1, 0.3, 0.5, 0.7, 0.9] {
-        push(
-            DetectorSpec::Ewma { alpha },
-            Box::new(EwmaDetector::new(alpha)),
-        );
-    }
+    out.extend([0.1, 0.3, 0.5, 0.7, 0.9].map(|alpha| DetectorSpec::Ewma { alpha }));
 
-    // TSD [1] and TSD MAD — win = 1..5 weeks.
+    // TSD [1] and TSD MAD — win = 1..5 weeks; historical average [5] and
+    // historical MAD likewise.
     for robust in [false, true] {
-        for weeks in 1..=5usize {
-            push(
-                DetectorSpec::Tsd {
-                    weeks,
-                    robust,
-                    interval,
-                },
-                Box::new(Tsd::new(weeks, robust, interval)),
-            );
-        }
+        out.extend((1..=5usize).map(|weeks| DetectorSpec::Tsd {
+            weeks,
+            robust,
+            interval,
+        }));
     }
-
-    // Historical average [5] and historical MAD — win = 1..5 weeks.
     for robust in [false, true] {
-        for weeks in 1..=5usize {
-            push(
-                DetectorSpec::Historical {
-                    weeks,
-                    robust,
-                    interval,
-                },
-                Box::new(HistoricalAverage::new(weeks, robust, interval)),
-            );
-        }
+        out.extend((1..=5usize).map(|weeks| DetectorSpec::Historical {
+            weeks,
+            robust,
+            interval,
+        }));
     }
 
     // Holt–Winters [6] — alpha, beta, gamma in {0.2, 0.4, 0.6, 0.8}³ = 64.
@@ -234,15 +292,12 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
     for alpha in grid {
         for beta in grid {
             for gamma in grid {
-                push(
-                    DetectorSpec::HoltWinters {
-                        alpha,
-                        beta,
-                        gamma,
-                        interval,
-                    },
-                    Box::new(HoltWintersDetector::new(alpha, beta, gamma, interval)),
-                );
+                out.push(DetectorSpec::HoltWinters {
+                    alpha,
+                    beta,
+                    gamma,
+                    interval,
+                });
             }
         }
     }
@@ -250,52 +305,37 @@ pub fn registry(interval: u32) -> Vec<ConfiguredDetector> {
     // SVD [7] — row = 10..50 points, column = 3, 5, 7 → 15.
     for rows in [10usize, 20, 30, 40, 50] {
         for cols in [3usize, 5, 7] {
-            push(
-                DetectorSpec::Svd { rows, cols },
-                Box::new(SvdDetector::new(rows, cols)),
-            );
+            out.push(DetectorSpec::Svd { rows, cols });
         }
     }
 
     // Wavelet [12] — win = 3, 5, 7 days × low/mid/high → 9.
     for win_days in [3usize, 5, 7] {
         for band in [Band::Low, Band::Mid, Band::High] {
-            push(
-                DetectorSpec::Wavelet {
-                    win_days,
-                    band,
-                    interval,
-                },
-                Box::new(WaveletDetector::new(win_days, band, interval)),
-            );
+            out.push(DetectorSpec::Wavelet {
+                win_days,
+                band,
+                interval,
+            });
         }
     }
 
     // ARIMA [10] — one configuration, estimated from data.
-    push(DetectorSpec::Opaque, Box::new(ArimaDetector::new(interval)));
+    out.push(DetectorSpec::Arima { interval });
 
     debug_assert_eq!(out.len(), CONFIG_COUNT);
-    out.into_iter()
-        .enumerate()
-        .map(|(index, (spec, detector))| ConfiguredDetector {
-            index,
-            spec,
-            detector,
-        })
-        .collect()
+    out
 }
 
 /// The labels of all 133 configurations, in registry order.
 pub fn config_labels(interval: u32) -> Vec<String> {
-    registry(interval)
-        .iter()
-        .map(ConfiguredDetector::label)
-        .collect()
+    registry(interval).iter().map(DetectorSpec::label).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extensions::extended_registry;
     use std::collections::HashMap;
 
     #[test]
@@ -307,8 +347,8 @@ mod tests {
     #[test]
     fn table3_per_detector_counts() {
         let mut counts: HashMap<&'static str, usize> = HashMap::new();
-        for c in registry(60) {
-            *counts.entry(c.detector.name()).or_default() += 1;
+        for spec in registry(60) {
+            *counts.entry(spec.name()).or_default() += 1;
         }
         let expected = [
             ("simple threshold", 1),
@@ -341,24 +381,74 @@ mod tests {
         assert_eq!(dedup.len(), labels.len(), "duplicate labels");
     }
 
+    /// The feature labels are the column names of every trained model and
+    /// of the bench outputs, so their text is pinned: one exact label per
+    /// family (the 14 of Table 3 and the 3 extensions) ...
     #[test]
-    fn indices_are_stable_and_sequential() {
-        let reg = registry(300);
-        for (i, c) in reg.iter().enumerate() {
-            assert_eq!(c.index, i);
+    fn one_label_per_family_is_pinned() {
+        let labels = extended_registry(60)
+            .iter()
+            .map(DetectorSpec::label)
+            .collect::<Vec<_>>();
+        let expected = [
+            (0, "simple threshold (none)"),
+            (2, "diff (last-day)"),
+            (4, "simple MA (win=10 points)"),
+            (10, "weighted MA (win=20 points)"),
+            (18, "MA of diff (win=50 points)"),
+            (20, "EWMA (alpha=0.3)"),
+            (26, "TSD (win=3 week(s))"),
+            (33, "TSD MAD (win=5 week(s))"),
+            (34, "historical average (win=1 week(s))"),
+            (42, "historical MAD (win=4 week(s))"),
+            (51, "Holt-Winters (alpha=0.2,beta=0.4,gamma=0.8)"),
+            (114, "SVD (row=30,column=3)"),
+            (129, "wavelet (win=7 days,freq=low)"),
+            (132, "ARIMA (estimated (pending))"),
+            (135, "CUSUM (k=1,win=60 points)"),
+            (138, "sliding percentile (q=0.01,win=480 points)"),
+            (142, "seasonal ESD (days=14)"),
+        ];
+        for (column, label) in expected {
+            assert_eq!(labels[column], label, "column {column}");
         }
+    }
+
+    /// ... and every label list as a whole, by its FNV-1a hash (each label
+    /// followed by a newline).
+    #[test]
+    fn label_lists_hash_to_their_pinned_values() {
+        let hash = |specs: Vec<DetectorSpec>| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for spec in specs {
+                for b in spec.label().bytes().chain([b'\n']) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            h
+        };
+        for interval in [60, 300, 3600] {
+            assert_eq!(
+                hash(registry(interval)),
+                0x7117_cfb3_cb94_8dfb,
+                "{interval} s"
+            );
+        }
+        assert_eq!(hash(extended_registry(60)), 0x83e5_1c66_cbc5_cc69);
     }
 
     #[test]
     fn cloned_registry_entries_continue_identically() {
-        let mut reg = registry(3600);
+        let specs = registry(3600);
+        let mut detectors: Vec<Box<dyn Detector>> =
+            specs.iter().map(DetectorSpec::detector).collect();
         for i in 0..(24 * 2) {
             let ts = i * 3600;
-            for c in reg.iter_mut() {
-                let _ = c.detector.observe(ts, Some(100.0 + (i % 24) as f64));
+            for d in detectors.iter_mut() {
+                let _ = d.observe(ts, Some(100.0 + (i % 24) as f64));
             }
         }
-        let mut clones: Vec<ConfiguredDetector> = reg.iter().map(Clone::clone).collect();
+        let mut clones = detectors.clone();
         for i in (24 * 2)..(24 * 3) {
             let ts = i * 3600;
             let v = if i % 10 == 5 {
@@ -366,14 +456,14 @@ mod tests {
             } else {
                 Some(100.0 + (i % 24) as f64)
             };
-            for (c, k) in reg.iter_mut().zip(clones.iter_mut()) {
-                let a = c.detector.observe(ts, v);
-                let b = k.detector.observe(ts, v);
+            for ((d, k), spec) in detectors.iter_mut().zip(clones.iter_mut()).zip(&specs) {
+                let a = d.observe(ts, v);
+                let b = k.observe(ts, v);
                 assert_eq!(
                     a.map(f64::to_bits),
                     b.map(f64::to_bits),
                     "{} point {i}",
-                    c.label()
+                    spec.label()
                 );
             }
         }
@@ -382,7 +472,9 @@ mod tests {
     #[test]
     fn all_detectors_accept_points_without_panicking() {
         // A short smoke run over every configuration at a coarse interval.
-        let mut reg = registry(3600);
+        let specs = registry(3600);
+        let mut detectors: Vec<Box<dyn Detector>> =
+            specs.iter().map(DetectorSpec::detector).collect();
         for i in 0..(24 * 3) {
             let ts = i * 3600;
             let v = if i % 11 == 0 {
@@ -390,12 +482,12 @@ mod tests {
             } else {
                 Some(100.0 + (i % 24) as f64)
             };
-            for c in reg.iter_mut() {
-                if let Some(s) = c.detector.observe(ts, v) {
+            for (d, spec) in detectors.iter_mut().zip(&specs) {
+                if let Some(s) = d.observe(ts, v) {
                     assert!(
                         s.is_finite() && s >= 0.0,
                         "{}: bad severity {s}",
-                        c.detector.name()
+                        spec.name()
                     );
                 }
             }

@@ -1,5 +1,5 @@
 //! Simple static threshold — the Amazon CloudWatch Alarms style detector
-//! [24], the one detection method "intuitive to operators although
+//! \[24\], the one detection method "intuitive to operators although
 //! unsatisfying in detection performance" (§1).
 //!
 //! Its severity is the raw value itself: for volume KPIs like #SR (number
@@ -29,14 +29,6 @@ impl Detector for SimpleThreshold {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "simple threshold"
-    }
-
-    fn config(&self) -> String {
-        "none".to_string()
     }
 }
 

@@ -1,10 +1,10 @@
-//! The SVD detector [7] (Table 3: row ∈ {10..50} points, column ∈ {3,5,7}).
+//! The SVD detector \[7\] (Table 3: row ∈ {10..50} points, column ∈ {3,5,7}).
 //!
 //! Recent data is arranged into a `row × column` lag matrix whose columns
 //! are consecutive segments, the newest segment last. Normal behaviour makes
 //! the columns strongly correlated, so the matrix is approximately rank one;
 //! the severity of the current point is its residual against the dominant
-//! singular component (the "normal subspace" of [7]).
+//! singular component (the "normal subspace" of \[7\]).
 //!
 //! Because a full SVD per point would be wasteful, the detector extracts
 //! only the dominant component with a short power iteration on the small
@@ -225,14 +225,6 @@ impl Detector for SvdDetector {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "SVD"
-    }
-
-    fn config(&self) -> String {
-        format!("row={},column={}", self.rows, self.cols)
     }
 }
 

@@ -1,4 +1,4 @@
-//! TSD — time-series decomposition [1] — and its MAD variant (Table 3,
+//! TSD — time-series decomposition \[1\] — and its MAD variant (Table 3,
 //! win = 1..5 weeks).
 //!
 //! The detector keeps, for every slot of the week, the values seen at that
@@ -24,7 +24,6 @@ pub(crate) const SPREAD_REFRESH: usize = 64;
 /// The TSD / TSD MAD detector.
 #[derive(Debug, Clone)]
 pub struct Tsd {
-    weeks: usize,
     robust: bool,
     interval: u32,
     /// Per-slot-of-week value history (up to `weeks` entries each).
@@ -46,7 +45,6 @@ impl Tsd {
         assert!(weeks > 0, "weeks must be positive");
         let ppw = (7 * 86_400 / i64::from(interval)) as usize;
         Self {
-            weeks,
             robust,
             interval,
             per_slot: vec![SortedWindow::new(weeks); ppw],
@@ -98,18 +96,6 @@ impl Detector for Tsd {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        if self.robust {
-            "TSD MAD"
-        } else {
-            "TSD"
-        }
-    }
-
-    fn config(&self) -> String {
-        format!("win={} week(s)", self.weeks)
     }
 }
 

@@ -1,4 +1,4 @@
-//! The wavelet detector [12] (Table 3: win ∈ {3, 5, 7} days,
+//! The wavelet detector \[12\] (Table 3: win ∈ {3, 5, 7} days,
 //! freq ∈ {low, mid, high}).
 //!
 //! Barford et al. separate the signal into frequency bands and score how
@@ -39,7 +39,7 @@ pub enum Band {
 }
 
 impl Band {
-    fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Band::Low => "low",
             Band::Mid => "mid",
@@ -170,7 +170,6 @@ impl Band {
 /// The streaming wavelet-band detector.
 #[derive(Debug, Clone)]
 pub struct WaveletDetector {
-    win_days: usize,
     band: Band,
     bank: FilterBank,
     spread: BandSpread,
@@ -187,7 +186,6 @@ impl WaveletDetector {
     pub fn new(win_days: usize, band: Band, interval: u32) -> Self {
         assert!(win_days > 0, "win_days must be positive");
         Self {
-            win_days,
             band,
             bank: FilterBank::new(win_days, interval),
             spread: BandSpread::new(),
@@ -203,14 +201,6 @@ impl Detector for WaveletDetector {
 
     fn clone_box(&self) -> Box<dyn Detector> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "wavelet"
-    }
-
-    fn config(&self) -> String {
-        format!("win={} days,freq={}", self.win_days, self.band.label())
     }
 }
 

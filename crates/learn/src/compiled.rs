@@ -12,7 +12,7 @@
 //! (half the size of the training-time enum node), so one descent step
 //! touches exactly one cache line:
 //!
-//! * `feature: u32` — split feature index, or [`LEAF`] for leaves,
+//! * `feature: u32` — split feature index, or `LEAF` for leaves,
 //! * `first_child: u32` — arena index of the `< threshold` child; the
 //!   `>=` child is always the next slot, so descending a level is the
 //!   branch-free `idx = first_child + (x >= threshold)`,

@@ -1,7 +1,7 @@
 //! Mutual-information feature ranking.
 //!
 //! §5.3.2: "The features are added in the order of their mutual information
-//! [51], a common metric of feature selection." Each feature is discretized
+//! \[51\], a common metric of feature selection." Each feature is discretized
 //! into quantile bins and its MI with the binary label computed; the
 //! Fig. 10 experiment trains every learner on the top-k features for
 //! growing k.

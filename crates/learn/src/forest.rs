@@ -1,4 +1,4 @@
-//! Random forests (Breiman [28]) — the learning algorithm Opprentice runs.
+//! Random forests (Breiman \[28\]) — the learning algorithm Opprentice runs.
 //!
 //! §4.4.2: "a random forest adds some elements of randomness. First, each
 //! tree is trained on subsets sampled from the original training set.
@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Random-forest hyperparameters. The paper stresses that forests "have
-/// only two parameters and are not very sensitive to them" [38]: the tree
+/// only two parameters and are not very sensitive to them" \[38\]: the tree
 /// count and the per-node feature subset size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RandomForestParams {

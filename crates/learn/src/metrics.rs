@@ -96,7 +96,7 @@ pub fn pr_curve(scores: &[Option<f64>], truth: &[bool]) -> Vec<PrPoint> {
     out
 }
 
-/// Area under the PR curve [50], computed as average precision (the
+/// Area under the PR curve \[50\], computed as average precision (the
 /// step-function integral over recall). Returns 0 for an empty curve.
 pub fn auc_pr(curve: &[PrPoint]) -> f64 {
     let mut area = 0.0;

@@ -3,7 +3,7 @@
 //! The paper's ARIMA detector is the one detector whose parameters are *not*
 //! swept: "we estimate their 'best' parameters from the data, and generate
 //! only one set of parameters, or one configuration" (§4.3.3), citing
-//! Box–Jenkins [35] and `auto.arima` [36]. This module provides that
+//! Box–Jenkins \[35\] and `auto.arima` \[36\]. This module provides that
 //! estimation pipeline from scratch:
 //!
 //! 1. the differencing order `d` is chosen by variance minimization

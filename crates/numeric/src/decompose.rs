@@ -1,7 +1,7 @@
 //! Classical seasonal decomposition of a time-series window.
 //!
 //! This is the substrate of the paper's TSD (time series decomposition)
-//! detector [1] and its MAD variant: split a trailing window into
+//! detector \[1\] and its MAD variant: split a trailing window into
 //! `trend + seasonal + residual`, then score new points by how far they sit
 //! from `trend + seasonal`, measured in residual spreads. The robust variant
 //! replaces means with medians and the standard deviation with MAD, which

@@ -2,7 +2,7 @@
 //!
 //! EWMA backs two parts of the paper: the EWMA *detector* (Table 3,
 //! α ∈ {0.1 … 0.9}) and the EWMA-based *cThld prediction* of §4.5.2
-//! (α = 0.8). Holt–Winters [6] is the triple exponential smoothing detector
+//! (α = 0.8). Holt–Winters \[6\] is the triple exponential smoothing detector
 //! with parameters {α, β, γ} sampled on {0.2, 0.4, 0.6, 0.8}³ (64 configs).
 
 /// Exponentially weighted moving average.

@@ -1,6 +1,6 @@
 //! STL — Seasonal-Trend decomposition using Loess (Cleveland et al., 1990).
 //!
-//! The paper's TSD detector cites time-series decomposition [1]; the
+//! The paper's TSD detector cites time-series decomposition \[1\]; the
 //! `decompose` module implements the classical moving-average variant the
 //! detectors run online. STL is the stronger, canonical batch algorithm —
 //! robust locally-weighted regression for both the seasonal and the trend

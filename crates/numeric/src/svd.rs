@@ -1,6 +1,6 @@
 //! Singular value decomposition via the one-sided Jacobi method.
 //!
-//! The paper's SVD detector [7] projects a small lag matrix of recent data
+//! The paper's SVD detector \[7\] projects a small lag matrix of recent data
 //! onto its dominant singular subspace and scores points by reconstruction
 //! residual. The matrices involved are tiny (at most 50 × 7, Table 3), so
 //! the simple, robust one-sided Jacobi iteration is the right tool — no

@@ -1,6 +1,6 @@
 //! Haar wavelet multiresolution analysis (MRA).
 //!
-//! The paper's wavelet detector (Barford et al. [12], Table 3) separates a
+//! The paper's wavelet detector (Barford et al. \[12\], Table 3) separates a
 //! trailing window of the signal into *low*, *mid* and *high* frequency
 //! bands and scores how unusual the current point's band content is. The
 //! substrate here is a Haar MRA: a perfect-reconstruction additive split

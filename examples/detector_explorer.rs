@@ -30,15 +30,14 @@ fn main() {
 
     // Run all 133 configurations; keep the best AUCPR per detector family.
     let mut best: BTreeMap<&'static str, (String, f64)> = BTreeMap::new();
-    for mut cfg in registry(kpi.series.interval()) {
-        let severities = run_detector(cfg.detector.as_mut(), &kpi.series);
+    for spec in registry(kpi.series.interval()) {
+        let severities = run_detector(spec.detector().as_mut(), &kpi.series);
         let auc = auc_pr_of(&severities, kpi.truth.flags());
-        let name = cfg.detector.name();
         let entry = best
-            .entry(name)
-            .or_insert_with(|| (cfg.detector.config(), f64::MIN));
+            .entry(spec.name())
+            .or_insert_with(|| (spec.params(), f64::MIN));
         if auc > entry.1 {
-            *entry = (cfg.detector.config(), auc);
+            *entry = (spec.params(), auc);
         }
     }
 

@@ -10,7 +10,8 @@
 //!   bit-for-bit with the batch `stats::` reference implementations the
 //!   seed detectors computed from scratch each point.
 
-use opprentice_repro::detectors::registry::registry;
+use opprentice_repro::detectors::registry::{registry, DetectorSpec};
+use opprentice_repro::detectors::{clamp_severity, Detector};
 use opprentice_repro::numeric::rolling::SortedWindow;
 use opprentice_repro::numeric::stats;
 use opprentice_repro::opprentice::features::OnlineExtractor;
@@ -109,20 +110,21 @@ proptest! {
         cut_frac in 0.1f64..0.9,
     ) {
         let cut = ((values.len() as f64 * cut_frac) as usize).clamp(1, values.len() - 1);
-        let mut reg = registry(INTERVAL);
+        let specs = registry(INTERVAL);
+        let mut reg: Vec<Box<dyn Detector>> = specs.iter().map(DetectorSpec::detector).collect();
         for (i, v) in values[..cut].iter().enumerate() {
-            for cfg in reg.iter_mut() {
-                let _ = cfg.observe_clamped(i as i64 * i64::from(INTERVAL), *v);
+            for det in reg.iter_mut() {
+                let _ = det.observe(i as i64 * i64::from(INTERVAL), *v);
             }
         }
-        let mut clones: Vec<_> = reg.iter().map(Clone::clone).collect();
+        let mut clones = reg.clone();
         for (k, v) in values[cut..].iter().enumerate() {
             let ts = (cut + k) as i64 * i64::from(INTERVAL);
-            for (cfg, dup) in reg.iter_mut().zip(clones.iter_mut()) {
+            for ((det, dup), spec) in reg.iter_mut().zip(clones.iter_mut()).zip(&specs) {
                 prop_assert_eq!(
-                    cfg.observe_clamped(ts, *v).map(f64::to_bits),
-                    dup.observe_clamped(ts, *v).map(f64::to_bits),
-                    "{} diverged after clone at point {}", cfg.label(), cut + k
+                    clamp_severity(det.observe(ts, *v)).map(f64::to_bits),
+                    clamp_severity(dup.observe(ts, *v)).map(f64::to_bits),
+                    "{} diverged after clone at point {}", spec.label(), cut + k
                 );
             }
         }
@@ -186,15 +188,11 @@ fn pruned_config_set_matches_full_registry_columns() {
         .filter(|i| i % 3 == 0)
         .chain((0..full_reg.len()).rev().filter(|i| i % 3 == 1))
         .collect();
-    let mut fresh: Vec<_> = registry(INTERVAL).into_iter().map(Some).collect();
-    let pruned_reg: Vec<_> = kept
-        .iter()
-        .map(|&i| fresh[i].take().expect("each index kept once"))
-        .collect();
+    let pruned_reg: Vec<DetectorSpec> = kept.iter().map(|&i| full_reg[i]).collect();
     assert!(pruned_reg.len() < full_reg.len());
 
-    let mut full = OnlineExtractor::with_configs(full_reg);
-    let mut pruned = OnlineExtractor::with_configs(pruned_reg);
+    let mut full = OnlineExtractor::with_configs(&full_reg);
+    let mut pruned = OnlineExtractor::with_configs(&pruned_reg);
     assert_eq!(pruned.n_features(), kept.len());
     {
         let full_labels = full.labels();

@@ -1,7 +1,8 @@
 //! Property-based integration tests: invariants every detector
 //! configuration must uphold on arbitrary-ish KPI inputs.
 
-use opprentice_repro::detectors::registry::registry;
+use opprentice_repro::detectors::registry::{registry, DetectorSpec};
+use opprentice_repro::detectors::Detector;
 use proptest::prelude::*;
 
 /// Builds a short hourly series from proptest-chosen parameters.
@@ -34,6 +35,14 @@ fn series_strategy() -> impl Strategy<Value = Vec<Option<f64>>> {
         })
 }
 
+/// A fresh scalar detector per registry configuration, with its spec.
+fn fresh_registry() -> Vec<(DetectorSpec, Box<dyn Detector>)> {
+    registry(3600)
+        .into_iter()
+        .map(|s| (s, s.detector()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -41,17 +50,16 @@ proptest! {
     /// missing inputs never produce a verdict.
     #[test]
     fn all_133_configs_emit_sane_severities(values in series_strategy()) {
-        let mut reg = registry(3600);
+        let mut reg = fresh_registry();
         for (i, v) in values.iter().enumerate() {
             let ts = i as i64 * 3600;
-            for cfg in reg.iter_mut() {
-                let s = cfg.detector.observe(ts, *v);
+            for (spec, det) in reg.iter_mut() {
+                let s = det.observe(ts, *v);
                 if v.is_none() {
-                    prop_assert_eq!(s, None, "{} gave a verdict on a missing point", cfg.detector.name());
+                    prop_assert_eq!(s, None, "{} gave a verdict on a missing point", spec.name());
                 }
                 if let Some(s) = s {
-                    prop_assert!(s.is_finite() && s >= 0.0,
-                        "{} ({}): severity {s}", cfg.detector.name(), cfg.detector.config());
+                    prop_assert!(s.is_finite() && s >= 0.0, "{}: severity {s}", spec.label());
                 }
             }
         }
@@ -61,12 +69,12 @@ proptest! {
     #[test]
     fn detectors_are_deterministic(values in series_strategy()) {
         let run = || -> Vec<Vec<Option<f64>>> {
-            let mut reg = registry(3600);
+            let mut reg = fresh_registry();
             values
                 .iter()
                 .enumerate()
                 .map(|(i, v)| {
-                    reg.iter_mut().map(|c| c.detector.observe(i as i64 * 3600, *v)).collect()
+                    reg.iter_mut().map(|(_, d)| d.observe(i as i64 * 3600, *v)).collect()
                 })
                 .collect()
         };
@@ -79,7 +87,7 @@ proptest! {
 #[test]
 fn detectors_are_causal() {
     let build = |tail: f64| -> Vec<Vec<Option<f64>>> {
-        let mut reg = registry(3600);
+        let mut reg = fresh_registry();
         let mut out = Vec::new();
         for i in 0..200i64 {
             let v = if i == 199 {
@@ -89,7 +97,7 @@ fn detectors_are_causal() {
             };
             out.push(
                 reg.iter_mut()
-                    .map(|c| c.detector.observe(i * 3600, Some(v)))
+                    .map(|(_, d)| d.observe(i * 3600, Some(v)))
                     .collect(),
             );
         }
@@ -107,13 +115,12 @@ fn detectors_are_causal() {
 /// first point except the memoryless simple threshold.
 #[test]
 fn only_simple_threshold_scores_the_first_point() {
-    let mut reg = registry(3600);
-    for cfg in reg.iter_mut() {
-        let s = cfg.detector.observe(0, Some(123.0));
-        if cfg.detector.name() == "simple threshold" {
+    for (spec, mut det) in fresh_registry() {
+        let s = det.observe(0, Some(123.0));
+        if spec == DetectorSpec::SimpleThreshold {
             assert_eq!(s, Some(123.0));
         } else {
-            assert_eq!(s, None, "{} scored the first point", cfg.detector.name());
+            assert_eq!(s, None, "{} scored the first point", spec.label());
         }
     }
 }

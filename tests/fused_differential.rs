@@ -8,8 +8,8 @@
 //!   (snapshot/restore path);
 //! - cost-model shard rebalancing mid-stream never changes a single
 //!   output bit (placement is pure scheduling);
-//! - the scalar fallback path (extension registry: Opaque specs) fuses
-//!   correctly too;
+//! - the scalar fallback path (the extension registry's CUSUM,
+//!   sliding-percentile and seasonal-ESD specs) runs correctly too;
 //! - the lockstep SVD kernel matches the boxed SVD detectors on every
 //!   pruned subset of its 15 lanes, across missing bursts at Gram-refresh
 //!   boundaries, converged (constant) and degenerate (all-zero) windows,
@@ -21,13 +21,14 @@
 //!   multi-week streams whose slot windows fill, evict, skip a week and
 //!   sit out missing bursts longer than a day.
 //!
-//! The oracle is always the raw scalar registry driven point-by-point
-//! through `observe_clamped` — *not* the extraction engine, so the two
+//! The oracle is always a scalar detector per configuration, built by
+//! `DetectorSpec::detector` and driven point-by-point through the
+//! framework clamp — *not* the extraction engine, so the two
 //! implementations stay independent.
 
 use opprentice_repro::detectors::clamp_severity;
 use opprentice_repro::detectors::fused::{plan, FamilyKernel};
-use opprentice_repro::detectors::registry::{registry, ConfiguredDetector, DetectorSpec};
+use opprentice_repro::detectors::registry::{registry, DetectorSpec};
 use opprentice_repro::detectors::svd::{FusedSvd, SvdDetector};
 use opprentice_repro::detectors::Detector;
 use opprentice_repro::opprentice::features::OnlineExtractor;
@@ -78,16 +79,21 @@ fn series_strategy() -> impl Strategy<Value = Vec<Option<f64>>> {
         })
 }
 
+/// Fresh scalar detectors for `specs`, in order.
+fn scalar_detectors(specs: &[DetectorSpec]) -> Vec<Box<dyn Detector>> {
+    specs.iter().map(DetectorSpec::detector).collect()
+}
+
 /// The scalar oracle: every registry configuration driven per point.
 fn scalar_rows(values: &[Option<f64>]) -> Vec<Vec<Option<u64>>> {
-    let mut reg = registry(INTERVAL);
+    let mut reg = scalar_detectors(&registry(INTERVAL));
     values
         .iter()
         .enumerate()
         .map(|(i, v)| {
             let ts = i as i64 * i64::from(INTERVAL);
             reg.iter_mut()
-                .map(|cfg| cfg.observe_clamped(ts, *v).map(f64::to_bits))
+                .map(|det| clamp_severity(det.observe(ts, *v)).map(f64::to_bits))
                 .collect()
         })
         .collect()
@@ -149,7 +155,7 @@ proptest! {
     ) {
         let cut = ((values.len() as f64 * cut_frac) as usize).clamp(1, values.len() - 1);
         let expected = scalar_rows(&values);
-        for mut unit in plan(registry(INTERVAL)) {
+        for mut unit in plan(&registry(INTERVAL)) {
             let k = unit.kernel.n_configs();
             let mut row = vec![None; k];
             for (i, v) in values[..cut].iter().enumerate() {
@@ -179,14 +185,15 @@ proptest! {
 }
 
 /// The extension registry (143 configs: Table 3 plus CUSUM, sliding
-/// percentile, seasonal ESD — all `Opaque` specs) runs through the fused
+/// percentile, seasonal ESD, none of them fused) runs through the fused
 /// engine's scalar fallback and matches the per-config oracle.
 #[test]
 fn extension_registry_matches_scalar_oracle() {
     use opprentice_repro::detectors::extensions::extended_registry;
 
-    let mut oracle = extended_registry(INTERVAL);
-    let mut fused = OnlineExtractor::with_configs(extended_registry(INTERVAL));
+    let specs = extended_registry(INTERVAL);
+    let mut oracle = scalar_detectors(&specs);
+    let mut fused = OnlineExtractor::with_configs(&specs);
     let m = fused.n_features();
     assert_eq!(m, oracle.len());
 
@@ -206,12 +213,12 @@ fn extension_registry_matches_scalar_oracle() {
     // One big batch through the pool, checked row by row.
     let rows = fused.observe_batch(&timestamps, &values).to_vec();
     for (i, v) in values.iter().enumerate() {
-        for (c, cfg) in oracle.iter_mut().enumerate() {
+        for (c, det) in oracle.iter_mut().enumerate() {
             assert_eq!(
                 rows[i * m + c].map(f64::to_bits),
-                cfg.observe_clamped(timestamps[i], *v).map(f64::to_bits),
+                clamp_severity(det.observe(timestamps[i], *v)).map(f64::to_bits),
                 "{} diverged at point {i}",
-                cfg.label()
+                specs[c].label()
             );
         }
     }
@@ -254,7 +261,7 @@ fn non_finite_inputs_normalize_to_missing_and_stay_lockstep() {
 /// The registry's configurations of the detector families named in
 /// `family` (`/`-separated, e.g. `"TSD/TSD MAD"`) whose bit is set in
 /// `mask` (bit `i` = the families' `i`-th configuration, registry order).
-fn family_configs(family: &str, mask: u16) -> Vec<ConfiguredDetector> {
+fn family_configs(family: &str, mask: u16) -> Vec<DetectorSpec> {
     let names: Vec<&str> = match family {
         "TSD/TSD MAD" => vec!["TSD", "TSD MAD"],
         "historical average/MAD" => vec!["historical average", "historical MAD"],
@@ -262,7 +269,7 @@ fn family_configs(family: &str, mask: u16) -> Vec<ConfiguredDetector> {
     };
     registry(INTERVAL)
         .into_iter()
-        .filter(|c| names.contains(&c.detector.name()))
+        .filter(|c| names.contains(&c.name()))
         .enumerate()
         .filter(|(i, _)| mask >> i & 1 == 1)
         .map(|(_, c)| c)
@@ -278,13 +285,14 @@ fn check_lanes(
     values: &[Option<f64>],
     cut: usize,
 ) -> Result<(), TestCaseError> {
-    let mut oracle = family_configs(family, mask);
-    let mut units = plan(family_configs(family, mask));
+    let specs = family_configs(family, mask);
+    let mut oracle = scalar_detectors(&specs);
+    let mut units = plan(&specs);
     prop_assert_eq!(units.len(), 1, "{} lanes must fuse into one kernel", family);
     let kernel = &mut units[0].kernel;
     // A kernel fusing one variant of a combined family reports that
     // variant's name.
-    let mut names: Vec<&str> = oracle.iter().map(|c| c.detector.name()).collect();
+    let mut names: Vec<&str> = specs.iter().map(DetectorSpec::name).collect();
     names.dedup();
     let expect_family = if names.len() == 1 { names[0] } else { family };
     prop_assert_eq!(kernel.family(), expect_family);
@@ -302,13 +310,13 @@ fn check_lanes(
         if let Some(c) = clone.as_mut() {
             c.observe(ts, *v, &mut clone_row);
         }
-        for (j, cfg) in oracle.iter_mut().enumerate() {
-            let expect = cfg.observe_clamped(ts, *v).map(f64::to_bits);
+        for (j, det) in oracle.iter_mut().enumerate() {
+            let expect = clamp_severity(det.observe(ts, *v)).map(f64::to_bits);
             prop_assert_eq!(
                 row[j].map(f64::to_bits),
                 expect,
                 "{} diverged at point {} (mask {:#x})",
-                cfg.label(),
+                specs[j].label(),
                 i,
                 mask
             );
@@ -317,7 +325,7 @@ fn check_lanes(
                     clone_row[j].map(f64::to_bits),
                     expect,
                     "clone of {} diverged at point {} (mask {:#x})",
-                    cfg.label(),
+                    specs[j].label(),
                     i,
                     mask
                 );
@@ -386,10 +394,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any non-empty subset of the 9 wavelet lanes fuses into one kernel
-    /// owning its filter banks, and matches the boxed band views (which
-    /// share a bank per window length) bit for bit — long enough for the
-    /// 7-day lanes to warm up and refresh their spread — and so does a
-    /// clone taken mid-stream.
+    /// owning its filter banks, and matches the boxed band views bit for
+    /// bit — long enough for the 7-day lanes to warm up and refresh their
+    /// spread — and so does a clone taken mid-stream.
     #[test]
     fn fused_wavelet_subsets_match_scalar_detectors(
         mask in 1u16..(1 << 9),
@@ -482,7 +489,7 @@ proptest! {
 fn fused_svd_refresh_boundaries_and_degenerate_windows() {
     let caps: Vec<usize> = family_configs("SVD", 0x7fff)
         .iter()
-        .map(|c| match c.spec {
+        .map(|c| match c {
             DetectorSpec::Svd { rows, cols } => rows * cols,
             _ => unreachable!("filtered to SVD"),
         })
