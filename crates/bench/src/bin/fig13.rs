@@ -15,6 +15,7 @@ use opprentice::evaluate::moving_window_metrics;
 use opprentice::predictor::{five_fold_cthld, EwmaCthldPredictor};
 use opprentice::strategy::{EvalPlan, TrainingStrategy};
 use opprentice_bench::{prepare_all, write_csv, RunOpts};
+use opprentice_learn::TrainingSet;
 
 fn main() {
     let opts = RunOpts::from_args();
@@ -50,7 +51,7 @@ fn main() {
         // 8-week training set.
         let fp = opts.forest_params_for(run.matrix.len());
         let (init_train, _) = run.matrix.dataset(run.truth(), 0..test_start);
-        let init = five_fold_cthld(&init_train, &pref, &fp);
+        let init = five_fold_cthld(&TrainingSet::new(&init_train), &pref, &fp);
         let mut ewma = EwmaCthldPredictor::paper();
         ewma.initialize(init);
         let mut ewma_weekly = Vec::with_capacity(outcomes.len());
@@ -64,7 +65,7 @@ fn main() {
         let mut fold_weekly = Vec::with_capacity(outcomes.len());
         for o in &outcomes {
             let (train, _) = run.matrix.dataset(run.truth(), 0..o.points.start);
-            fold_weekly.push(five_fold_cthld(&train, &pref, &fp));
+            fold_weekly.push(five_fold_cthld(&TrainingSet::new(&train), &pref, &fp));
         }
 
         // Expand weekly cThlds to per-point and slide 4-week windows a day

@@ -32,16 +32,25 @@
 //! adds to it (`session_memory`, bytes per point; `--max-session-bytes-per-pt`
 //! turns it into a ceiling).
 //!
+//! Two in-process sections time a stream's onboarding on the 1-minute pv
+//! preset: the first retrain job's phases (`onboarding`: re-extraction,
+//! model fit and the five cThld folds over one shared column sort, at
+//! 3 days of history, plus 4 weeks under `--full`), and the serving cost
+//! of the first 3,000 points after that model lands against the next
+//! 3,000 (`first_model_windows`).
+//!
 //! Results land in `results/BENCH_serving.json`. Modes: `--tiny` (CI
 //! smoke, seconds), default (laptop-sized), `--full` (paper-sized forest
 //! everywhere).
 //!
 //! Run with: `cargo run --release -p opprentice-bench --bin serving_bench`
 
-use opprentice::features::OnlineExtractor;
+use opprentice::features::{extract_features, OnlineExtractor};
+use opprentice::predictor::five_fold_cthld;
 use opprentice::{Opprentice, OpprenticeConfig};
 use opprentice_detectors::{clamp_severity, registry, Detector};
-use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams};
+use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams, TrainingSet};
+use opprentice_numeric::parallel::configured_threads;
 use opprentice_server::testing::Client;
 use opprentice_server::{Server, ServerConfig};
 use std::io::Write;
@@ -75,6 +84,10 @@ struct Sizes {
     batch: usize,
     /// Concurrent sessions in the fan-out measurement.
     sessions: usize,
+    /// Days of 1-minute pv history each onboarding measurement trains on.
+    onboard_days: &'static [usize],
+    /// Fresh pipelines timed over their first points after a model lands.
+    landing_reps: usize,
 }
 
 /// Parses `--<flag> <N>`: a committed throughput floor or memory ceiling.
@@ -111,6 +124,8 @@ impl Sizes {
                 legacy_points: 24,
                 batch: 24,
                 sessions: 2,
+                onboard_days: &[3],
+                landing_reps: 3,
             }
         } else if full {
             Sizes {
@@ -125,6 +140,8 @@ impl Sizes {
                 legacy_points: 150,
                 batch: 96,
                 sessions: 4,
+                onboard_days: &[3, 28],
+                landing_reps: 5,
             }
         } else {
             Sizes {
@@ -139,6 +156,8 @@ impl Sizes {
                 legacy_points: 100,
                 batch: 48,
                 sessions: 4,
+                onboard_days: &[3],
+                landing_reps: 5,
             }
         }
     }
@@ -416,6 +435,123 @@ fn session_memory(n_trees: usize) -> (usize, Option<u64>) {
     (history, before.zip(after).map(|(b, a)| a.saturating_sub(b)))
 }
 
+/// Phase times of one onboarding job (see [`onboarding`]).
+struct Onboarding {
+    days: usize,
+    rows: usize,
+    extract_ms: f64,
+    fit_ms: f64,
+    five_fold_ms: f64,
+    sorted_bytes: usize,
+}
+
+/// The first retrain job's shape on `days` of labeled 1-minute pv history,
+/// phase by phase: re-extract the history, fit the model (which sorts the
+/// feature columns), then fit and score the five cThld folds over the
+/// same sorted set.
+fn onboarding(days: usize, n_trees: usize) -> Onboarding {
+    let history = days * 1440;
+    let mut spec = opprentice_datagen::presets::pv();
+    spec.weeks = days.div_ceil(7);
+    let kpi = spec.generate();
+
+    let t0 = Instant::now();
+    let matrix = extract_features(&kpi.series.slice(0..history));
+    let (ds, _) = matrix.dataset(&kpi.truth, 0..history);
+    let extract_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert!(ds.positives() > 0, "pv history holds a labeled anomaly");
+
+    let config = OpprenticeConfig::default();
+    let params = RandomForestParams {
+        n_trees,
+        ..config.forest
+    };
+    let set = TrainingSet::new(&ds);
+    let t0 = Instant::now();
+    let mut forest = RandomForest::new(params.clone());
+    forest.fit_held_out(&set, 0..0, configured_threads());
+    let fit_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t0 = Instant::now();
+    std::hint::black_box(five_fold_cthld(&set, &config.preference, &params));
+    let five_fold_ms = t0.elapsed().as_secs_f64() * 1e3;
+    Onboarding {
+        days,
+        rows: ds.len(),
+        extract_ms,
+        fit_ms,
+        five_fold_ms,
+        // The shared sort holds one `u32` row index per (row, feature).
+        sorted_bytes: ds.len() * ds.n_features() * 4,
+    }
+}
+
+/// Days of labeled 1-minute pv history before the first model in
+/// [`landing_windows`]: the benchmark workloads' history.
+const LANDING_HISTORY_DAYS: usize = 3;
+
+/// Points per window in [`landing_windows`].
+const LANDING_WINDOW: usize = 3000;
+
+/// Serving cost of one window of points, in microseconds per point.
+#[derive(Clone, Copy)]
+struct WindowCost {
+    total: f64,
+    extract: f64,
+    infer: f64,
+}
+
+/// Times the first [`LANDING_WINDOW`] points a pipeline serves through
+/// `observe` right after its first model lands (`wait_retrain`) against
+/// the next [`LANDING_WINDOW`], on the 1-minute pv preset, once per
+/// fresh pipeline. Returns `(first, next)` per pipeline.
+fn landing_windows(reps: usize, n_trees: usize) -> Vec<(WindowCost, WindowCost)> {
+    let history = LANDING_HISTORY_DAYS * 1440;
+    let mut spec = opprentice_datagen::presets::pv();
+    spec.weeks = (history + 2 * LANDING_WINDOW).div_ceil(7 * 1440);
+    let kpi = spec.generate();
+    let config = OpprenticeConfig {
+        forest: RandomForestParams {
+            n_trees,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    (0..reps)
+        .map(|_| {
+            let mut opp = Opprentice::new(60, config.clone());
+            opp.ingest_history(&kpi.series.slice(0..history), &kpi.truth.slice(0..history))
+                .expect("fresh pipeline accepts history");
+            opp.start_retrain()
+                .expect("pv history holds a labeled anomaly");
+            opp.wait_retrain().expect("a job was in flight");
+            let mut window = |start: usize| {
+                let (extract0, infer0) = (opp.extract_us(), opp.infer_us());
+                let t0 = Instant::now();
+                for i in start..start + LANDING_WINDOW {
+                    std::hint::black_box(
+                        opp.observe(kpi.series.timestamp_at(i), kpi.series.get(i)),
+                    );
+                }
+                let per_pt = |us: f64| us / LANDING_WINDOW as f64;
+                WindowCost {
+                    total: per_pt(t0.elapsed().as_secs_f64() * 1e6),
+                    extract: per_pt((opp.extract_us() - extract0) as f64),
+                    infer: per_pt((opp.infer_us() - infer0) as f64),
+                }
+            };
+            let first = window(history);
+            let next = window(history + LANDING_WINDOW);
+            (first, next)
+        })
+        .collect()
+}
+
+/// Median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn main() {
     let sizes = Sizes::from_args();
     eprintln!("[serving_bench] mode={}", sizes.mode);
@@ -443,6 +579,40 @@ fn main() {
         ),
         None => eprintln!("[memory] RSS not available on this platform"),
     }
+
+    // ---- Onboarding: the first retrain job, phase by phase ---------------
+    let onboard: Vec<Onboarding> = sizes
+        .onboard_days
+        .iter()
+        .map(|&days| onboarding(days, sizes.server_trees))
+        .collect();
+    for o in &onboard {
+        eprintln!(
+            "[onboarding] {} days ({} rows, {} trees): extract {:.1} ms, fit {:.1} ms, \
+             five-fold {:.1} ms, shared sort {:.1} MB",
+            o.days,
+            o.rows,
+            sizes.server_trees,
+            o.extract_ms,
+            o.fit_ms,
+            o.five_fold_ms,
+            o.sorted_bytes as f64 / 1e6
+        );
+    }
+
+    // ---- The first points served after a model lands ---------------------
+    let landing = landing_windows(sizes.landing_reps, sizes.server_trees);
+    let landing_median =
+        |pick: fn(&(WindowCost, WindowCost)) -> f64| median(landing.iter().map(pick).collect());
+    let first_us = landing_median(|w| w.0.total);
+    let next_us = landing_median(|w| w.1.total);
+    let landing_ratio = landing_median(|w| w.0.total / w.1.total);
+    eprintln!(
+        "[first-model] first {LANDING_WINDOW} points {first_us:.2} us/pt, next \
+         {LANDING_WINDOW} {next_us:.2} us/pt, median ratio {landing_ratio:.2} \
+         (over {} pipelines)",
+        landing.len()
+    );
 
     // ---- Microbench 1: online feature extraction ------------------------
     // Best of 3 passes each: the box this runs on shares a host, and a
@@ -567,7 +737,7 @@ fn main() {
     // the number the CI floor guards: the background-retrain path is only
     // useful if training keeps up with the labeled-data volume.
     const TRAIN_PASSES: usize = 3;
-    let train_threads = opprentice_numeric::parallel::configured_threads();
+    let train_threads = configured_threads();
     let data = synthetic_dataset(sizes.micro_rows, 0xC0FFEE);
     let params = RandomForestParams {
         n_trees: sizes.micro_trees,
@@ -772,6 +942,26 @@ fn main() {
     "rss_growth_bytes": {session_bytes},
     "session_bytes_per_point": {session_bpp}
   }},
+  "onboarding": {{
+    "note": "the first retrain job's phases on labeled 1-minute pv history: re-extraction, model fit (including the one column sort), five-fold cThld fits and scoring over the same sorted set; sorted_bytes is that sort's row-index array (4 B per row and feature; each fit's 2 B per cell of bin codes come on top)",
+    "n_trees": {server_trees},
+    "threads": {train_threads},
+    "runs": [
+{onboard_json}
+    ]
+  }},
+  "first_model_windows": {{
+    "note": "wall-clock us/pt of Opprentice::observe over the first {landing_window} points served right after the first model lands (wait_retrain) and over the next {landing_window}, {landing_days} days of 1-minute pv history, medians over fresh pipelines; extract/infer from the pipeline's own counters",
+    "n_trees": {server_trees},
+    "pipelines": {landing_reps},
+    "first_us_per_pt": {first_us:.3},
+    "first_extract_us_per_pt": {first_extract:.3},
+    "first_infer_us_per_pt": {first_infer:.3},
+    "next_us_per_pt": {next_us:.3},
+    "next_extract_us_per_pt": {next_extract:.3},
+    "next_infer_us_per_pt": {next_infer:.3},
+    "median_first_over_next": {landing_ratio:.3}
+  }},
   "inference_microbench": {{
     "n_trees": {micro_trees},
     "n_features": 133,
@@ -842,6 +1032,23 @@ fn main() {
 }}
 "#,
         mode = sizes.mode,
+        server_trees = sizes.server_trees,
+        onboard_json = onboard
+            .iter()
+            .map(|o| format!(
+                "      {{\"days\": {}, \"rows\": {}, \"extract_ms\": {:.2}, \"fit_ms\": {:.2}, \
+                 \"five_fold_ms\": {:.2}, \"sorted_bytes\": {}}}",
+                o.days, o.rows, o.extract_ms, o.fit_ms, o.five_fold_ms, o.sorted_bytes
+            ))
+            .collect::<Vec<_>>()
+            .join(",\n"),
+        landing_window = LANDING_WINDOW,
+        landing_days = LANDING_HISTORY_DAYS,
+        landing_reps = landing.len(),
+        first_extract = landing_median(|w| w.0.extract),
+        first_infer = landing_median(|w| w.0.infer),
+        next_extract = landing_median(|w| w.1.extract),
+        next_infer = landing_median(|w| w.1.infer),
         build_reps = BUILD_REPS,
         build_json = build_ms
             .iter()

@@ -12,7 +12,8 @@ use crate::error::PipelineError;
 use crate::features::{replay, OnlineExtractor};
 use crate::predictor::{five_fold_cthld, EwmaCthldPredictor};
 use opprentice_learn::metrics::pr_curve;
-use opprentice_learn::{Classifier, CompiledForest, Dataset, RandomForest, RandomForestParams};
+use opprentice_learn::{CompiledForest, Dataset, RandomForest, RandomForestParams, TrainingSet};
+use opprentice_numeric::parallel::configured_threads;
 use opprentice_timeseries::{Labels, TimeSeries};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -593,12 +594,14 @@ impl Opprentice {
                     reextract(interval, &points, &flags, week_start, old.as_ref());
                 // Without an old model every score is `None`: no curve, no best.
                 let best = best_cthld(&pr_curve(&scores, &flags[week_start..]), &preference);
+                // The model and the five cThld folds share one column sort.
+                let set = TrainingSet::new(&ds);
                 let mut forest = RandomForest::new(params.clone());
-                forest.fit(&ds);
+                forest.fit_held_out(&set, 0..0, configured_threads());
                 // 5-fold initialization only when the predictor would still
                 // be empty after applying `best` (the first-round case).
                 let init = (!has_prediction && best.is_none())
-                    .then(|| five_fold_cthld(&ds, &preference, &params));
+                    .then(|| five_fold_cthld(&set, &preference, &params));
                 let compiled = forest.compile();
                 TrainOutcome {
                     best,

@@ -12,7 +12,8 @@
 
 use crate::cthld::{pc_score, Preference};
 use opprentice_learn::cv::k_fold;
-use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams};
+use opprentice_learn::{RandomForest, RandomForestParams, TrainingSet};
+use opprentice_numeric::parallel::configured_threads;
 
 /// The EWMA cThld predictor (α = 0.8 in the paper: "to quickly catch up
 /// with the cThld variation").
@@ -116,23 +117,32 @@ fn fold_pc_scores(scores: &[f64], truth: &[bool], pref: &Preference) -> Vec<f64>
 /// the other folds and score the held-out block; pick the candidate with
 /// the best average PC-Score. Returns 0.5 (the default) when the training
 /// set is unusable (e.g. no positives at all).
-pub fn five_fold_cthld(train: &Dataset, pref: &Preference, params: &RandomForestParams) -> f64 {
+///
+/// The fold forests share `train`'s column sort with every other fit on
+/// it (the retrain job fits its model on the same set), and each scores
+/// its held-out rows in place through its compiled form, which predicts
+/// bit-identically to the tree walk.
+pub fn five_fold_cthld(train: &TrainingSet, pref: &Preference, params: &RandomForestParams) -> f64 {
     let k = 5usize;
-    if train.len() < k * 2 || train.positives() == 0 || train.positives() == train.len() {
+    let data = train.data();
+    let positives = data.positives();
+    if data.len() < k * 2 || positives == 0 || positives == data.len() {
         return 0.5;
     }
+    let threads = configured_threads();
     let mut sums = vec![0.0; 1001];
     let mut used_folds = 0usize;
-    for fold in k_fold(train.len(), k) {
-        let fit = train.subset(&fold.train);
-        if fit.positives() == 0 {
+    for test in k_fold(data.len(), k) {
+        let truth = &data.labels()[test.clone()];
+        if truth.iter().filter(|&&l| l).count() == positives {
+            // The fold's training part holds no anomaly.
             continue;
         }
         let mut forest = RandomForest::new(params.clone());
-        forest.fit(&fit);
-        let test = train.slice(fold.test.clone());
-        let scores: Vec<f64> = (0..test.len()).map(|i| forest.score(test.row(i))).collect();
-        let pc = fold_pc_scores(&scores, test.labels(), pref);
+        forest.fit_held_out(train, test.clone(), threads);
+        let compiled = forest.compile();
+        let scores: Vec<f64> = test.map(|i| compiled.predict(data.row(i))).collect();
+        let pc = fold_pc_scores(&scores, truth, pref);
         for (s, p) in sums.iter_mut().zip(pc) {
             *s += p;
         }
@@ -157,6 +167,7 @@ pub fn five_fold_cthld(train: &Dataset, pref: &Preference, params: &RandomForest
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opprentice_learn::Dataset;
 
     #[test]
     fn ewma_initialization_and_update() {
@@ -251,7 +262,7 @@ mod tests {
             n_trees: 10,
             ..Default::default()
         };
-        let c = five_fold_cthld(&d, &Preference::moderate(), &params);
+        let c = five_fold_cthld(&TrainingSet::new(&d), &Preference::moderate(), &params);
         assert!(c > 0.05 && c < 0.95, "cthld {c}");
     }
 
@@ -266,7 +277,11 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            five_fold_cthld(&all_normal, &Preference::moderate(), &params),
+            five_fold_cthld(
+                &TrainingSet::new(&all_normal),
+                &Preference::moderate(),
+                &params
+            ),
             0.5
         );
     }

@@ -470,6 +470,28 @@ mod tests {
         assert_eq!(SessionSnapshot::capture(&opp, 12).to_bytes(), expected);
     }
 
+    /// A snapshot whose forest params no fit can use is refused, so its
+    /// `config()` never reaches a retrain job that would panic on it.
+    #[test]
+    fn unusable_forest_params_are_rejected() {
+        for (n_trees, n_bins, field) in [(0, Some(64), "n_trees"), (10, Some(1), "n_bins")] {
+            let config = OpprenticeConfig {
+                forest: RandomForestParams {
+                    n_trees,
+                    n_bins,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let opp = Opprentice::new(INTERVAL, config);
+            let bytes = SessionSnapshot::capture(&opp, 0).to_bytes();
+            assert_eq!(
+                SessionSnapshot::from_bytes(&bytes).err(),
+                Some(SnapshotError::BadField(field))
+            );
+        }
+    }
+
     #[test]
     fn untrained_pipeline_round_trips_too() {
         let opp = Opprentice::new(INTERVAL, OpprenticeConfig::default());

@@ -6,23 +6,20 @@
 //! one with a cThld candidate." Folds are *contiguous* because the data is
 //! a time series — shuffling points across time would leak seasonal
 //! context between train and test.
+//!
+//! A fold is its held-out block; its training part is every other row,
+//! which [`crate::RandomForest::fit_held_out`] trains on without a copy.
 
-/// One train/test split: row ranges into the original dataset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fold {
-    /// Row indices of the training portion.
-    pub train: Vec<usize>,
-    /// Row indices of the held-out portion (one contiguous block).
-    pub test: std::ops::Range<usize>,
-}
+use std::ops::Range;
 
-/// Splits `n` samples into `k` contiguous folds. Earlier folds absorb the
-/// remainder, so fold sizes differ by at most one.
+/// Splits `n` samples into `k` contiguous folds, returning each fold's
+/// held-out block in order. Earlier folds absorb the remainder, so fold
+/// sizes differ by at most one.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0` or `k > n`.
-pub fn k_fold(n: usize, k: usize) -> Vec<Fold> {
+pub fn k_fold(n: usize, k: usize) -> Vec<Range<usize>> {
     assert!(k > 0, "k must be positive");
     assert!(k <= n, "more folds than samples");
     let base = n / k;
@@ -31,9 +28,7 @@ pub fn k_fold(n: usize, k: usize) -> Vec<Fold> {
     let mut start = 0usize;
     for f in 0..k {
         let len = base + usize::from(f < extra);
-        let test = start..start + len;
-        let train = (0..n).filter(|i| !test.contains(i)).collect();
-        folds.push(Fold { train, test });
+        folds.push(start..start + len);
         start += len;
     }
     folds
@@ -49,7 +44,7 @@ mod tests {
         assert_eq!(folds.len(), 5);
         let mut covered = [false; 103];
         for f in &folds {
-            for i in f.test.clone() {
+            for i in f.clone() {
                 assert!(!covered[i], "index {i} in two test folds");
                 covered[i] = true;
             }
@@ -60,26 +55,16 @@ mod tests {
     #[test]
     fn fold_sizes_balanced() {
         let folds = k_fold(103, 5);
-        let sizes: Vec<usize> = folds.iter().map(|f| f.test.len()).collect();
+        let sizes: Vec<usize> = folds.iter().map(|f| f.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 103);
         assert!(sizes.iter().all(|&s| s == 20 || s == 21));
-    }
-
-    #[test]
-    fn train_and_test_are_disjoint_and_complete() {
-        for f in k_fold(50, 5) {
-            assert_eq!(f.train.len() + f.test.len(), 50);
-            for &i in &f.train {
-                assert!(!f.test.contains(&i));
-            }
-        }
     }
 
     #[test]
     fn test_blocks_are_contiguous_and_ordered() {
         let folds = k_fold(60, 4);
         for w in folds.windows(2) {
-            assert_eq!(w[0].test.end, w[1].test.start);
+            assert_eq!(w[0].end, w[1].start);
         }
     }
 

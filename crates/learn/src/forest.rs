@@ -20,11 +20,12 @@
 //! thread count produces the same forest, which `tests/train_differential.rs`
 //! proves structurally (tree bytes, probabilities, compiled arena).
 
-use crate::binned::{fit_binned, BinnedDataset};
+use crate::binned::{fit_binned, BinnedDataset, TrainingSet};
 use crate::tree::{fit_on_indices, DecisionTree, TreeParams};
 use crate::{Classifier, Dataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Random-forest hyperparameters. The paper stresses that forests "have
 /// only two parameters and are not very sensitive to them" \[38\]: the tree
@@ -132,8 +133,25 @@ impl RandomForest {
     /// against. [`Classifier::fit`] delegates here with one thread per
     /// available core.
     pub fn fit_with_threads(&mut self, data: &Dataset, threads: usize) {
-        assert!(!data.is_empty(), "empty training set");
-        let n = data.len();
+        self.fit_held_out(&TrainingSet::new(data), 0..0, threads);
+    }
+
+    /// Trains the forest on the rows of `set` outside the contiguous block
+    /// `held_out` (`0..0` keeps every row), with an explicit worker-thread
+    /// count as in [`RandomForest::fit_with_threads`].
+    ///
+    /// The forest is bit-identical to one fitted on a copy of the kept
+    /// rows in row order, but nothing is copied and the column sort behind
+    /// the bins is the one `set` shares with every other fit on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `held_out` reaches past the last row or no row remains.
+    pub fn fit_held_out(&mut self, set: &TrainingSet, held_out: Range<usize>, threads: usize) {
+        let data = set.data();
+        assert!(held_out.end <= data.len(), "held-out block out of range");
+        let n = data.len() - held_out.len();
+        assert!(n > 0, "empty training set");
         let m = data.n_features();
         let max_features = self
             .params
@@ -144,7 +162,7 @@ impl RandomForest {
         let binned = self
             .params
             .n_bins
-            .map(|b| BinnedDataset::from_dataset(data, b));
+            .map(|b| BinnedDataset::new(set, held_out.clone(), b, threads));
         let n_trees = self.params.n_trees;
         let threads = threads.clamp(1, n_trees.max(1));
 
@@ -157,8 +175,14 @@ impl RandomForest {
                 .wrapping_mul(0x9E3779B97F4A7C15)
                 .wrapping_add(t as u64);
             let mut rng = StdRng::seed_from_u64(tree_seed);
-            // Bootstrap: sample with replacement.
-            let mut indices: Vec<usize> = (0..sample_n).map(|_| rng.gen_range(0..n)).collect();
+            // Bootstrap: sample kept row `j` with replacement; it is row
+            // `j` of the whole set, or the row that far past the block.
+            let mut indices: Vec<usize> = (0..sample_n)
+                .map(|_| match rng.gen_range(0..n) {
+                    j if j < held_out.start => j,
+                    j => j + held_out.len(),
+                })
+                .collect();
             let tp = TreeParams {
                 max_features: Some(max_features),
                 max_depth: params.max_depth,
@@ -166,7 +190,7 @@ impl RandomForest {
                 seed: tree_seed ^ 0xA5A5_5A5A,
             };
             match binned_ref {
-                Some(b) => fit_binned(tp, b, &mut indices),
+                Some(b) => fit_binned(tp, b, &indices),
                 None => fit_on_indices(tp, data, &mut indices),
             }
         };

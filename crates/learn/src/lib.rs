@@ -36,6 +36,7 @@ pub mod metrics;
 pub mod persist;
 pub mod tree;
 
+pub use binned::TrainingSet;
 pub use compiled::CompiledForest;
 pub use dataset::Dataset;
 pub use forest::{RandomForest, RandomForestParams};

@@ -29,7 +29,7 @@
 //! cThld and serve the same verdict bits as a reference that stores
 //! every streamed feature row (see "Re-extraction differential" below).
 
-use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams};
+use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams, TrainingSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -301,8 +301,13 @@ impl Reference {
         }
         let mut forest = RandomForest::new(self.config.forest.clone());
         forest.fit(&ds);
-        let init = (self.predictor.predict().is_none() && best.is_none())
-            .then(|| five_fold_cthld(&ds, &self.config.preference, &self.config.forest));
+        let init = (self.predictor.predict().is_none() && best.is_none()).then(|| {
+            five_fold_cthld(
+                &TrainingSet::new(&ds),
+                &self.config.preference,
+                &self.config.forest,
+            )
+        });
         Some(Round { best, init, forest })
     }
 
@@ -589,3 +594,150 @@ fn retrain_without_usable_anomaly_matches_the_reference_harvest() {
     assert_same_model(&p, &r, "after the no-anomaly retrain");
     serve_mixed(&mut p, &mut r, HISTORY..HISTORY + 48);
 }
+
+// ---------------------------------------------------------------------------
+// Pinned forests.
+//
+// The differentials above compare the engine with itself. These digests
+// pin its output to fixed values, recorded before the training set was
+// sorted once and shared across folds: any change to edge selection, tie
+// order, histogram arithmetic or tree layout shows up here.
+// ---------------------------------------------------------------------------
+
+use opprentice::cthld::Preference;
+use opprentice::features::extract_features;
+
+/// FNV-1a over a forest's serialized bytes.
+fn forest_digest(forest: &RandomForest) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in forest.to_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Rows `1440..1440 + rows` of the 133 features extracted from the
+/// 1-minute pv preset: the second day, where the weekly detectors still
+/// emit nothing, so many columns hold long runs of exact-zero ties.
+fn pv_slice(rows: usize) -> Dataset {
+    let mut spec = opprentice_datagen::presets::pv();
+    spec.weeks = 1;
+    let kpi = spec.generate();
+    let end = 1440 + rows;
+    let matrix = extract_features(&kpi.series.slice(0..end));
+    matrix.dataset(&kpi.truth.slice(0..end), 1440..end).0
+}
+
+/// A column that mixes `-0.0` and `0.0` (phase picks which comes first in
+/// row order), with negatives below and positives above. Anomalies are the
+/// non-negative values, so the root splits at a zero edge, whose sign bit
+/// the sort's tie order decides.
+fn signed_zero_dataset(phase: usize) -> Dataset {
+    let mut d = Dataset::new(2);
+    for i in 0..240usize {
+        let v = match i % 4 {
+            0 | 1 if (i / 4 + phase).is_multiple_of(2) => [-0.0, 0.0][i % 2],
+            0 | 1 => [0.0, -0.0][i % 2],
+            2 => -1.0 - (i % 7) as f64,
+            _ => 1.0 + (i % 5) as f64,
+        };
+        let noise = ((i * 37) % 11) as f64;
+        d.push(&[v, noise], v >= 0.0 || i % 29 == 3);
+    }
+    d
+}
+
+fn pinned_params(n_trees: usize, n_bins: Option<usize>, seed: u64) -> RandomForestParams {
+    RandomForestParams {
+        n_trees,
+        n_bins,
+        seed,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn forests_hash_to_their_pinned_values() {
+    let mut got = Vec::new();
+    for (params, rows) in grid() {
+        got.push(forest_digest(&fit(
+            &params,
+            &noisy_dataset(rows, 3, params.seed),
+            1,
+        )));
+    }
+    let pv = pv_slice(1440);
+    let pv_exact = pv_slice(480);
+    got.push(forest_digest(&fit(&pinned_params(8, Some(64), 5), &pv, 1)));
+    got.push(forest_digest(&fit(&pinned_params(6, Some(16), 6), &pv, 1)));
+    got.push(forest_digest(&fit(
+        &pinned_params(4, None, 7),
+        &pv_exact,
+        1,
+    )));
+    for phase in 0..2 {
+        let d = signed_zero_dataset(phase);
+        got.push(forest_digest(&fit(&pinned_params(5, Some(64), 8), &d, 1)));
+        got.push(forest_digest(&fit(&pinned_params(5, Some(8), 9), &d, 1)));
+        got.push(forest_digest(&fit(&pinned_params(3, None, 10), &d, 1)));
+    }
+    assert_eq!(got, PINNED_FORESTS);
+}
+
+/// Each five-fold forest on the pv slice: trained on everything but one
+/// contiguous held-out block, through the shared sort at several thread
+/// counts, and on a copy of the kept rows.
+#[test]
+fn fold_forests_hash_to_their_pinned_values() {
+    let pv = pv_slice(1440);
+    let set = TrainingSet::new(&pv);
+    let params = pinned_params(8, Some(64), 11);
+    for threads in [1, 3] {
+        let mut shared = Vec::new();
+        let mut copied = Vec::new();
+        for test in opprentice_learn::cv::k_fold(pv.len(), 5) {
+            let mut f = RandomForest::new(params.clone());
+            f.fit_held_out(&set, test.clone(), threads);
+            shared.push(forest_digest(&f));
+            let kept: Vec<usize> = (0..pv.len()).filter(|i| !test.contains(i)).collect();
+            copied.push(forest_digest(&fit(&params, &pv.subset(&kept), threads)));
+        }
+        assert_eq!(shared, PINNED_FOLDS, "shared sort, {threads} threads");
+        assert_eq!(copied, PINNED_FOLDS, "copied rows, {threads} threads");
+    }
+}
+
+#[test]
+fn five_fold_cthld_on_the_pv_slice_is_pinned() {
+    let pv = pv_slice(1440);
+    let cthld = five_fold_cthld(
+        &TrainingSet::new(&pv),
+        &Preference::moderate(),
+        &pinned_params(8, Some(64), 11),
+    );
+    assert_eq!(cthld.to_bits(), PINNED_CTHLD.to_bits(), "cThld {cthld}");
+}
+
+const PINNED_FORESTS: [u64; 13] = [
+    0x49fc_c93a_5580_3c74,
+    0x8b04_49b7_770c_93e4,
+    0xda0c_2b83_b548_adcc,
+    0x7d88_3720_8888_8148,
+    0xfe91_5e15_232a_0832,
+    0x5067_7240_65af_63dd,
+    0x3d67_83f2_de01_d52d,
+    0x1a3b_b445_25e0_1da4,
+    0x6ed5_8a21_a400_2760,
+    0x2d2e_8160_5c0a_9086,
+    0x5081_3242_c0f2_57a4,
+    0x32fc_ec4e_51f3_5ce0,
+    0x2d2e_8160_5c0a_9086,
+];
+const PINNED_FOLDS: [u64; 5] = [
+    0x2ef8_d04b_9ef4_bccf,
+    0xcec8_2b40_09b7_1558,
+    0x39c0_b8bb_cc0f_0f26,
+    0xa314_2a1b_39d0_cb41,
+    0x6c93_696e_14f8_31af,
+];
+const PINNED_CTHLD: f64 = 0.626;
