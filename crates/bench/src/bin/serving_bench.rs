@@ -34,8 +34,9 @@
 //!
 //! Two in-process sections time a stream's onboarding on the 1-minute pv
 //! preset: the first retrain job's phases (`onboarding`: re-extraction,
-//! model fit and the five cThld folds over one shared column sort, at
-//! 3 days of history, plus 4 weeks under `--full`), and the serving cost
+//! model fit and the five cThld folds over one shared column sort, then a
+//! lone fit on a fresh training set as a weekly retrain does, at 3 days
+//! of history, plus 4 weeks under `--full`), and the serving cost
 //! of the first 3,000 points after that model lands against the next
 //! 3,000 (`first_model_windows`).
 //!
@@ -442,13 +443,15 @@ struct Onboarding {
     extract_ms: f64,
     fit_ms: f64,
     five_fold_ms: f64,
+    lone_fit_ms: f64,
     sorted_bytes: usize,
 }
 
 /// The first retrain job's shape on `days` of labeled 1-minute pv history,
 /// phase by phase: re-extract the history, fit the model (which sorts the
 /// feature columns), then fit and score the five cThld folds over the
-/// same sorted set.
+/// same sorted set. Then a weekly retrain's shape: a fresh training set
+/// and one fit, with no folds to share its sort.
 fn onboarding(days: usize, n_trees: usize) -> Onboarding {
     let history = days * 1440;
     let mut spec = opprentice_datagen::presets::pv();
@@ -474,12 +477,18 @@ fn onboarding(days: usize, n_trees: usize) -> Onboarding {
     let t0 = Instant::now();
     std::hint::black_box(five_fold_cthld(&set, &config.preference, &params));
     let five_fold_ms = t0.elapsed().as_secs_f64() * 1e3;
+    drop(set);
+    let t0 = Instant::now();
+    let mut lone = RandomForest::new(params);
+    lone.fit_held_out(&TrainingSet::new(&ds), 0..0, configured_threads());
+    let lone_fit_ms = t0.elapsed().as_secs_f64() * 1e3;
     Onboarding {
         days,
         rows: ds.len(),
         extract_ms,
         fit_ms,
         five_fold_ms,
+        lone_fit_ms,
         // The shared sort holds one `u32` row index per (row, feature).
         sorted_bytes: ds.len() * ds.n_features() * 4,
     }
@@ -589,13 +598,14 @@ fn main() {
     for o in &onboard {
         eprintln!(
             "[onboarding] {} days ({} rows, {} trees): extract {:.1} ms, fit {:.1} ms, \
-             five-fold {:.1} ms, shared sort {:.1} MB",
+             five-fold {:.1} ms, lone fit {:.1} ms, shared sort {:.1} MB",
             o.days,
             o.rows,
             sizes.server_trees,
             o.extract_ms,
             o.fit_ms,
             o.five_fold_ms,
+            o.lone_fit_ms,
             o.sorted_bytes as f64 / 1e6
         );
     }
@@ -943,7 +953,7 @@ fn main() {
     "session_bytes_per_point": {session_bpp}
   }},
   "onboarding": {{
-    "note": "the first retrain job's phases on labeled 1-minute pv history: re-extraction, model fit (including the one column sort), five-fold cThld fits and scoring over the same sorted set; sorted_bytes is that sort's row-index array (4 B per row and feature; each fit's 2 B per cell of bin codes come on top)",
+    "note": "the first retrain job's phases on labeled 1-minute pv history: re-extraction, model fit (including the one column sort), five-fold cThld fits and scoring over the same sorted set; then lone_fit_ms, a weekly retrain's shape: a fresh training set and one fit; sorted_bytes is the sort's row-index array (4 B per row and feature; each fit's 1 B per cell of bin codes comes on top)",
     "n_trees": {server_trees},
     "threads": {train_threads},
     "runs": [
@@ -1037,8 +1047,14 @@ fn main() {
             .iter()
             .map(|o| format!(
                 "      {{\"days\": {}, \"rows\": {}, \"extract_ms\": {:.2}, \"fit_ms\": {:.2}, \
-                 \"five_fold_ms\": {:.2}, \"sorted_bytes\": {}}}",
-                o.days, o.rows, o.extract_ms, o.fit_ms, o.five_fold_ms, o.sorted_bytes
+                 \"five_fold_ms\": {:.2}, \"lone_fit_ms\": {:.2}, \"sorted_bytes\": {}}}",
+                o.days,
+                o.rows,
+                o.extract_ms,
+                o.fit_ms,
+                o.five_fold_ms,
+                o.lone_fit_ms,
+                o.sorted_bytes
             ))
             .collect::<Vec<_>>()
             .join(",\n"),

@@ -60,6 +60,9 @@ pub enum RetrainError {
     AlreadyTraining,
     /// No labeled anomalous sample exists yet — nothing to learn from.
     NoLabeledAnomaly,
+    /// The configured forest params are ones no fit can use; the field is
+    /// named (see `RandomForestParams::validate`).
+    UnusableForestParams(&'static str),
 }
 
 impl std::fmt::Display for RetrainError {
@@ -67,6 +70,9 @@ impl std::fmt::Display for RetrainError {
         match self {
             RetrainError::AlreadyTraining => write!(f, "retrain already in progress"),
             RetrainError::NoLabeledAnomaly => write!(f, "need at least one labeled anomaly"),
+            RetrainError::UnusableForestParams(field) => {
+                write!(f, "forest param `{field}` is unusable")
+            }
         }
     }
 }
@@ -549,12 +555,18 @@ impl Opprentice {
     ///
     /// # Errors
     ///
-    /// [`RetrainError::AlreadyTraining`] if a job is in flight;
+    /// [`RetrainError::UnusableForestParams`] if no fit can use the
+    /// configured forest params (checked before anything else, so no job
+    /// starts); [`RetrainError::AlreadyTraining`] if a job is in flight;
     /// [`RetrainError::NoLabeledAnomaly`] if the labeled data holds no
     /// usable anomalous sample. Nothing changes then: step 1's harvest over
     /// the latest week could not find a best cThld either, since the week
     /// holds no usable positive.
     pub fn start_retrain(&mut self) -> Result<u64, RetrainError> {
+        self.config
+            .forest
+            .validate()
+            .map_err(RetrainError::UnusableForestParams)?;
         if self.job.is_some() {
             return Err(RetrainError::AlreadyTraining);
         }
@@ -949,6 +961,32 @@ mod tests {
         assert_eq!(opp.start_retrain(), Err(RetrainError::NoLabeledAnomaly));
         assert!(!opp.training_in_flight());
         assert_eq!(opp.model_version(), 0);
+    }
+
+    /// Params no fit can use are refused before a job starts, instead of
+    /// a job that panics on them.
+    #[test]
+    fn start_retrain_refuses_unusable_forest_params() {
+        let (series, labels) = labeled_history(28);
+        let unusable = [
+            (0, Some(64), "n_trees"),
+            (4, Some(1), "n_bins"),
+            (4, Some(RandomForestParams::MAX_BINS + 1), "n_bins"),
+        ];
+        for (n_trees, n_bins, field) in unusable {
+            let mut config = small_config();
+            config.forest.n_trees = n_trees;
+            config.forest.n_bins = n_bins;
+            let mut opp = Opprentice::new(INTERVAL, config);
+            opp.ingest_history(&series, &labels).unwrap();
+            assert_eq!(
+                opp.start_retrain(),
+                Err(RetrainError::UnusableForestParams(field))
+            );
+            assert!(!opp.training_in_flight());
+            assert!(!opp.retrain());
+            assert_eq!(opp.model_version(), 0);
+        }
     }
 
     #[test]

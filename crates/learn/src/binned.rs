@@ -11,22 +11,38 @@
 //! The quantiles come from one sort per feature column, in the order a
 //! stable `partial_cmp` sort gives (ties, signed zeros included, in row
 //! order), done once per [`TrainingSet`] and shared by every forest
-//! fitted on it. A fit that holds a contiguous block of rows out (a cThld
-//! cross-validation fold) filters the held-out rows from each sorted
-//! column in O(n): the result is exactly the sorted column of the
-//! remaining rows, so its edges and codes equal those of a copied subset,
-//! sorted afresh (DESIGN.md §16).
+//! fitted on it. The sort marks each entry that ties the one before it,
+//! so a fit bins a column in one walk over its sorted rows: it skips a
+//! contiguous held-out block (a cThld cross-validation fold), takes the
+//! edges, their dedup and the codes from the tie groups, and reads back
+//! the value of an edge row only. The kept part of a sorted column is
+//! exactly the sorted column of the kept rows, so the edges and codes
+//! equal those of a copied subset, sorted afresh (DESIGN.md §16).
+//!
+//! Codes are column-major and carry the row's label in their low bit
+//! (`code << 1 | label`): one byte per (row, feature) up to 128 bins (the
+//! default is 64), two beyond. A node's histogram is one flat `u32` array
+//! indexed by that packed key (DESIGN.md §16.4).
 //!
 //! Accuracy impact is negligible here: severities are features, and a
 //! 64-quantile resolution vastly exceeds what a detector threshold needs.
 
 use crate::tree::{from_nodes, DecisionTree, Node, TreeParams};
-use crate::Dataset;
+use crate::{Dataset, RandomForestParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
+
+/// Bit 31 of a sorted entry: its value ties the previous entry's (equal
+/// [`order_key`]). The low 31 bits are the row.
+const TIE: u32 = 1 << 31;
+
+/// Columns whose keys the sort builds from one pass over the rows (one
+/// 64-byte stretch of a row serves all of them), and the unit of work
+/// [`per_column_run`] hands to a worker.
+const KEY_BLOCK: usize = 8;
 
 /// A training set whose feature columns are sorted once, on the first
 /// binned fit, and shared by every forest fitted on it afterwards.
@@ -40,8 +56,9 @@ pub struct TrainingSet<'a> {
     /// Every feature column's rows in ascending order of value,
     /// column-major: entry `k` of column `f` sits at `f * n + k`. Ties
     /// keep row order, which is what a stable sort by `partial_cmp` gives,
-    /// so `-0.0` and `0.0` are ties too. Values are read back from the
-    /// dataset, not copied.
+    /// so `-0.0` and `0.0` are ties too; an entry that ties the one before
+    /// it has [`TIE`] set. Values are read back from the dataset, not
+    /// copied.
     sorted: OnceLock<Vec<u32>>,
 }
 
@@ -50,9 +67,10 @@ impl<'a> TrainingSet<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `data` has more than `u32::MAX` rows.
+    /// Panics if `data` has more than `2^31` rows: a row index must leave
+    /// bit 31 free for [`TIE`].
     pub fn new(data: &'a Dataset) -> Self {
-        assert!(u32::try_from(data.len()).is_ok(), "too many rows");
+        assert!(data.len() <= TIE as usize, "too many rows");
         Self {
             data,
             sorted: OnceLock::new(),
@@ -70,20 +88,17 @@ impl<'a> TrainingSet<'a> {
         self.sorted.get_or_init(|| {
             let (n, m) = (self.data.len(), self.data.n_features());
             let mut rows = vec![0u32; n * m];
-            per_column_run(&mut rows, n, m, threads, |features, run| {
-                let mut keyed: Vec<u128> = Vec::with_capacity(n);
-                for (f, out) in features.zip(run.chunks_mut(n)) {
-                    keyed.clear();
-                    keyed.extend(
-                        (0..n)
-                            .map(|i| u128::from(order_key(self.data.row(i)[f])) << 32 | i as u128),
-                    );
-                    // Keys are unique once the row breaks ties, so the
-                    // unstable sort yields the stable order.
-                    keyed.sort_unstable();
-                    for (slot, &k) in out.iter_mut().zip(&keyed) {
-                        *slot = k as u32;
+            per_column_run(&mut rows, n, m, threads, |block, run| {
+                // The block's keys, column-major, from one pass over the rows.
+                let mut keys = vec![0u64; block.len() * n];
+                for i in 0..n {
+                    for (j, &v) in self.data.row(i)[block.clone()].iter().enumerate() {
+                        keys[j * n + i] = order_key(v);
                     }
+                }
+                let mut packed = Vec::with_capacity(n);
+                for (column, out) in keys.chunks(n).zip(run.chunks_mut(n)) {
+                    sort_column(column, &mut packed, out);
                 }
             });
             rows
@@ -91,11 +106,52 @@ impl<'a> TrainingSet<'a> {
     }
 }
 
-/// Splits the `m` feature columns into at most `threads` contiguous runs
-/// and calls `work` on each run with its columns' part of `out` (`stride`
-/// entries per column), on scoped threads. Returns the runs' results in
-/// column order. Every column is computed alone, so the result does not
-/// depend on `threads`.
+/// Writes the rows of one column into `out` in ascending order of their
+/// order keys `keys`, ties in row order, and marks each tie with [`TIE`].
+///
+/// Each row becomes one `u64`: the top bits of its key above the row's
+/// bits. These are unique, so an unstable sort orders them exactly; only
+/// rows whose key tops are equal can still be out of `(key, row)` order,
+/// and each such run is checked, and re-sorted if it is. `packed` is
+/// scratch.
+fn sort_column(keys: &[u64], packed: &mut Vec<u64>, out: &mut [u32]) {
+    let row_bits = u64::BITS - (keys.len() as u64).leading_zeros();
+    packed.clear();
+    packed.extend(
+        (0u32..)
+            .zip(keys)
+            .map(|(r, &k)| k >> row_bits << row_bits | u64::from(r)),
+    );
+    packed.sort_unstable();
+    let mut runs = out;
+    for run in packed.chunk_by(|a, b| a >> row_bits == b >> row_bits) {
+        let (rows, rest) = runs.split_at_mut(run.len());
+        runs = rest;
+        for (slot, &p) in rows.iter_mut().zip(run) {
+            *slot = (p & ((1 << row_bits) - 1)) as u32;
+        }
+        let key = |r: &u32| keys[*r as usize];
+        if !rows.is_sorted_by_key(key) {
+            rows.sort_unstable_by_key(|r| (key(r), *r));
+        }
+        let mut prev = key(&rows[0]);
+        for r in &mut rows[1..] {
+            let k = key(r);
+            if k == prev {
+                *r |= TIE;
+            }
+            prev = k;
+        }
+    }
+}
+
+/// Calls `work` on every run of [`KEY_BLOCK`] feature columns (the last
+/// may be shorter) of the `m` in `out`, with that run's part of `out`
+/// (`stride` entries per column), on up to `threads` scoped threads that
+/// each take the next run as they finish one, so columns that cost more
+/// do not leave a worker waiting. Returns the runs' results in column
+/// order. Every column is computed alone, so the result does not depend
+/// on `threads`.
 fn per_column_run<T: Send, R: Send>(
     out: &mut [T],
     stride: usize,
@@ -103,25 +159,37 @@ fn per_column_run<T: Send, R: Send>(
     threads: usize,
     work: impl Fn(Range<usize>, &mut [T]) -> R + Sync,
 ) -> Vec<R> {
-    let per_run = m.div_ceil(threads.clamp(1, m.max(1))).max(1);
-    if per_run >= m {
-        return vec![work(0..m, out)];
+    let mut runs = out
+        .chunks_mut(KEY_BLOCK * stride)
+        .enumerate()
+        .map(|(c, run)| (c, c * KEY_BLOCK..m.min((c + 1) * KEY_BLOCK), run));
+    let workers = threads.clamp(1, m.div_ceil(KEY_BLOCK));
+    if workers == 1 {
+        return runs.map(|(_, columns, run)| work(columns, run)).collect();
     }
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = out
-            .chunks_mut(per_run * stride)
-            .enumerate()
-            .map(|(c, run)| {
-                let columns = c * per_run..((c + 1) * per_run).min(m);
-                scope.spawn(move || work(columns, run))
+    let queue = Mutex::new(&mut runs);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("column queue poisoned").next();
+                        let Some((c, columns, run)) = next else {
+                            return done;
+                        };
+                        done.push((c, work(columns, run)));
+                    }
+                })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("column worker panicked"))
+            .flat_map(|h| h.join().expect("column worker panicked"))
             .collect()
-    })
+    });
+    done.sort_unstable_by_key(|&(c, _)| c);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A `u64` whose order is the numeric order of finite `v`, with `-0.0`
@@ -139,37 +207,77 @@ fn order_key(v: f64) -> u64 {
     }
 }
 
+/// One entry of a code column: a row's bin code with its label in the low
+/// bit, `code << 1 | label`.
+pub(crate) trait Code: Copy + Default + Send + Sync {
+    /// Bin counts whose packed codes fit this type.
+    const MAX_BINS: usize;
+
+    fn pack(code: usize, label: bool) -> Self;
+
+    /// The packed value: `code << 1 | label`.
+    fn key(self) -> usize;
+}
+
+impl Code for u8 {
+    const MAX_BINS: usize = 1 << 7;
+
+    #[inline]
+    fn pack(code: usize, label: bool) -> Self {
+        (code << 1 | usize::from(label)) as u8
+    }
+
+    #[inline]
+    fn key(self) -> usize {
+        self.into()
+    }
+}
+
+impl Code for u16 {
+    const MAX_BINS: usize = RandomForestParams::MAX_BINS;
+
+    #[inline]
+    fn pack(code: usize, label: bool) -> Self {
+        (code << 1 | usize::from(label)) as u16
+    }
+
+    #[inline]
+    fn key(self) -> usize {
+        self.into()
+    }
+}
+
 /// One fit's view of a [`TrainingSet`]: per-feature quantile bins of the
-/// rows outside a held-out block, as column-major bin codes.
+/// rows outside a held-out block, as column-major packed codes.
 #[derive(Debug)]
-pub(crate) struct BinnedDataset<'a> {
+pub(crate) struct BinnedDataset<C> {
     /// Rows of the whole training set: the stride of one code column.
     n_rows: usize,
-    /// Column-major bin codes indexed by row of the whole training set;
-    /// `code = #edges <= value`. Held-out rows' codes are never read.
-    codes: Vec<u16>,
+    /// Column-major codes indexed by row of the whole training set, label
+    /// packed in (see [`Code`]); `code = #edges <= value`. No fit reads a
+    /// held-out row's entry.
+    codes: Vec<C>,
     /// Per feature: ascending distinct bin edges. A split "code <= b" is
     /// equivalent to "value < edges[b]".
     edges: Vec<Vec<f64>>,
-    labels: &'a [bool],
 }
 
-impl<'a> BinnedDataset<'a> {
+impl<C: Code> BinnedDataset<C> {
     /// Bins the rows of `set` outside `held_out` into at most `n_bins`
     /// quantile bins per feature, with up to `threads` workers: the same
     /// edges and codes as binning a copy of those rows.
     ///
     /// # Panics
     ///
-    /// Panics if `n_bins < 2`, `n_bins > u16::MAX as usize`, `held_out`
-    /// reaches past the last row, or no row remains.
+    /// Panics if `n_bins` is outside `2..=C::MAX_BINS`, `held_out` reaches
+    /// past the last row, or no row remains.
     pub(crate) fn new(
-        set: &'a TrainingSet,
+        set: &TrainingSet,
         held_out: Range<usize>,
         n_bins: usize,
         threads: usize,
     ) -> Self {
-        assert!((2..=u16::MAX as usize).contains(&n_bins), "bad bin count");
+        assert!((2..=C::MAX_BINS).contains(&n_bins), "bad bin count");
         let data = set.data;
         let n = data.len();
         assert!(held_out.end <= n, "held-out block out of range");
@@ -177,36 +285,19 @@ impl<'a> BinnedDataset<'a> {
         assert!(kept > 0, "empty training set");
         let m = data.n_features();
         let sorted = set.sorted(threads);
-        let mut codes = vec![0u16; n * m];
+        let mut codes = vec![C::default(); n * m];
         let edges = per_column_run(&mut codes, n, m, threads, |features, run| {
-            // The kept part of one sorted column.
-            let mut col: Vec<(f64, u32)> = Vec::with_capacity(kept);
             features
                 .zip(run.chunks_mut(n))
                 .map(|(f, column)| {
-                    col.clear();
-                    col.extend(
-                        sorted[f * n..(f + 1) * n]
-                            .iter()
-                            .filter(|&&r| !held_out.contains(&(r as usize)))
-                            .map(|&r| (data.row(r as usize)[f], r)),
-                    );
-                    let mut e: Vec<f64> = (1..n_bins).map(|b| col[b * kept / n_bins].0).collect();
-                    e.dedup();
-                    // Drop edges equal to the minimum: they can never split.
-                    while e.first().is_some_and(|&x| x <= col[0].0) {
-                        e.remove(0);
-                    }
-                    // Values ascend, so each code is the previous one plus
-                    // the edges passed since.
-                    let mut code = 0usize;
-                    for &(v, r) in &col {
-                        while code < e.len() && e[code] <= v {
-                            code += 1;
-                        }
-                        column[r as usize] = code as u16;
-                    }
-                    e
+                    bin_column(
+                        &sorted[f * n..(f + 1) * n],
+                        &held_out,
+                        n_bins,
+                        data.labels(),
+                        |r| data.row(r)[f],
+                        column,
+                    )
                 })
                 .collect::<Vec<_>>()
         })
@@ -215,7 +306,6 @@ impl<'a> BinnedDataset<'a> {
             n_rows: n,
             codes,
             edges,
-            labels: data.labels(),
         }
     }
 
@@ -223,9 +313,9 @@ impl<'a> BinnedDataset<'a> {
         self.edges.len()
     }
 
-    /// The bin codes of feature `f`, indexed by row.
+    /// The packed codes of feature `f`, indexed by row.
     #[inline]
-    pub(crate) fn column(&self, f: usize) -> &[u16] {
+    pub(crate) fn column(&self, f: usize) -> &[C] {
         &self.codes[f * self.n_rows..(f + 1) * self.n_rows]
     }
 
@@ -240,8 +330,124 @@ impl<'a> BinnedDataset<'a> {
     }
 }
 
+/// Bins one column from its tie-marked sorted rows: returns the edges of
+/// the rows outside `held_out`, and writes every row's packed code into
+/// `out` (held-out rows get `#edges <= value` too, though no fit reads
+/// them).
+///
+/// Over the `kept` rows in sorted order, edge `b` (for `b` in
+/// `1..n_bins`) is the value at position `b * kept / n_bins`; equal edges
+/// collapse to the first, and edges equal to the minimum are dropped, as
+/// they can never split. Equal values are exactly a tie group, so an edge
+/// survives iff it is the first one inside a tie group other than the
+/// first kept row's, and only that row's value is read. A held-out entry
+/// still links the groups around it: the tie bits chain through it.
+///
+/// Two passes, with no branch per entry that the data decides: the first
+/// locates the edge positions and the groups they start, the second
+/// counts group starts into codes.
+fn bin_column<C: Code>(
+    sorted: &[u32],
+    held_out: &Range<usize>,
+    n_bins: usize,
+    labels: &[bool],
+    value: impl Fn(usize) -> f64,
+    out: &mut [C],
+) -> Vec<f64> {
+    let row = |e: u32| (e & !TIE) as usize;
+    let is_kept = |e: &u32| row(*e).wrapping_sub(held_out.start) >= held_out.len();
+    let kept = sorted.len() - held_out.len();
+    // The sorted index of the kept row at each ascending kept position:
+    // whole blocks of entries are counted first, without a branch per
+    // entry, then the last block entry by entry.
+    let (mut i, mut seen) = (0, 0);
+    let mut locate = |position: usize| {
+        if held_out.is_empty() {
+            return position;
+        }
+        loop {
+            let block = &sorted[i..sorted.len().min(i + COUNT_BLOCK)];
+            let in_block = block.iter().filter(|e| is_kept(e)).count();
+            if seen + in_block > position {
+                break;
+            }
+            seen += in_block;
+            i += block.len();
+        }
+        while seen <= position {
+            seen += usize::from(is_kept(&sorted[i]));
+            i += 1;
+        }
+        i - 1
+    };
+    // Where each edge's tie group starts in `sorted`, and its row.
+    let mut starts = Vec::new();
+    let mut edge_rows = Vec::new();
+    // The minimum's entry, then each edge's: an edge whose group has no
+    // start after the previous one's entry shares that group.
+    let mut prev = locate(0);
+    for b in 1..n_bins {
+        let at = locate(b * kept / n_bins);
+        if let Some(start) = (prev + 1..=at).rev().find(|&j| sorted[j] & TIE == 0) {
+            starts.push(start);
+            edge_rows.push(row(sorted[at]));
+        }
+        prev = at;
+    }
+    // The values are read together, so their cache misses overlap.
+    let edges = edge_rows.into_iter().map(value).collect();
+    let mut code = 0;
+    let mut next = starts.first().copied();
+    for (j, &e) in sorted.iter().enumerate() {
+        if Some(j) == next {
+            code += 1;
+            next = starts.get(code).copied();
+        }
+        let r = row(e);
+        out[r] = C::pack(code, labels[r]);
+    }
+    edges
+}
+
+/// Sorted entries [`bin_column`] counts per step while it looks for an
+/// edge position past a held-out block.
+const COUNT_BLOCK: usize = 32;
+
+/// A fit's bins at the narrowest code width its bin count allows.
+pub(crate) enum Binned {
+    /// Up to 128 bins: one byte per (row, feature).
+    Byte(BinnedDataset<u8>),
+    /// Up to [`RandomForestParams::MAX_BINS`].
+    Wide(BinnedDataset<u16>),
+}
+
+impl Binned {
+    /// Bins the rows of `set` outside `held_out`; see
+    /// [`BinnedDataset::new`].
+    pub(crate) fn new(
+        set: &TrainingSet,
+        held_out: Range<usize>,
+        n_bins: usize,
+        threads: usize,
+    ) -> Self {
+        if n_bins <= u8::MAX_BINS {
+            Binned::Byte(BinnedDataset::new(set, held_out, n_bins, threads))
+        } else {
+            Binned::Wide(BinnedDataset::new(set, held_out, n_bins, threads))
+        }
+    }
+
+    /// Fits one tree; see [`fit_binned`].
+    pub(crate) fn fit_tree(&self, params: TreeParams, indices: &[usize]) -> DecisionTree {
+        match self {
+            Binned::Byte(data) => fit_binned(params, data, indices),
+            Binned::Wide(data) => fit_binned(params, data, indices),
+        }
+    }
+}
+
 /// One distinct row of a bootstrap sample: its row in the whole training
-/// set, how many times the bootstrap drew it, and its label.
+/// set and how many times the bootstrap drew it. Its label is in its codes.
 ///
 /// Counting by weight instead of repeating the row is exact: every count
 /// the builder compares or divides (node size, positives, histogram
@@ -251,55 +457,127 @@ impl<'a> BinnedDataset<'a> {
 struct Sample {
     row: u32,
     weight: u32,
-    label: bool,
 }
 
-/// Node size and positives of `samples`, both weighted.
-fn counts(samples: &[Sample]) -> (u32, u32) {
-    samples.iter().fold((0, 0), |(n, pos), s| {
-        (n + s.weight, pos + if s.label { s.weight } else { 0 })
-    })
+/// A node's size and positives, both weighted.
+type Counts = (u32, u32);
+
+/// Features whose histograms one pass over a node's samples fills: a
+/// sample is loaded once for all of them, and updates that consecutive
+/// samples make to one heavy bucket land in different arrays, so they do
+/// not wait on each other's stores.
+const FILL_GROUP: usize = 4;
+
+/// Adds the weights of `samples` into one histogram per column of
+/// `columns` (at most [`FILL_GROUP`]), by packed code: column `j`'s
+/// histogram is `hist[j * stride..][..stride]`.
+fn fill<C: Code>(hist: &mut [u32], stride: usize, columns: &[&[C]], samples: &[Sample]) {
+    let hist = &mut hist[..columns.len() * stride];
+    hist.fill(0);
+    if let [c0, c1, c2, c3] = columns {
+        let (h0, rest) = hist.split_at_mut(stride);
+        let (h1, rest) = rest.split_at_mut(stride);
+        let (h2, h3) = rest.split_at_mut(stride);
+        for s in samples {
+            let (r, w) = (s.row as usize, s.weight);
+            h0[c0[r].key()] += w;
+            h1[c1[r].key()] += w;
+            h2[c2[r].key()] += w;
+            h3[c3[r].key()] += w;
+        }
+    } else {
+        for (h, column) in hist.chunks_exact_mut(stride).zip(columns) {
+            for s in samples {
+                h[column[s.row as usize].key()] += s.weight;
+            }
+        }
+    }
 }
 
-/// Finds the gini-optimal `(feature, boundary)` among `features`, scanning
-/// bin histograms of a node of `n` samples, `total_pos` of them positive.
-/// Returns `None` when nothing separates the node.
+/// The gini-optimal split of a node: feature, boundary, and the counts of
+/// its left side (codes `0..=boundary`).
+#[derive(Debug, PartialEq)]
+struct Split {
+    feature: usize,
+    boundary: usize,
+    left: Counts,
+}
+
+/// Finds the gini-optimal split among `features`, scanning bin histograms
+/// of a node of `n` samples, `total_pos` of them positive; ties go to the
+/// first in feature order, then boundary order. Returns `None` when
+/// nothing separates the node.
 ///
 /// Histograms count in `u32`: the sums are integers, so converting them
 /// to `f64` gives exactly the values an `f64` histogram would hold.
-fn best_binned_split(
-    data: &BinnedDataset,
+fn best_binned_split<C: Code>(
+    data: &BinnedDataset<C>,
     samples: &[Sample],
-    (n, total_pos): (u32, u32),
+    (n, total_pos): Counts,
     features: &[usize],
-    scratch: &mut Vec<[u32; 2]>,
-) -> Option<(usize, usize)> {
-    let n = f64::from(n);
-    let total_pos = f64::from(total_pos);
-    let mut best: Option<(f64, usize, usize)> = None;
+    hist: &mut Vec<u32>,
+) -> Option<Split> {
+    let node = (f64::from(n), f64::from(total_pos));
+    let mut best = None;
+    // Features without an edge cannot split; the rest go in groups of
+    // [`FILL_GROUP`], scanned in the order given.
+    let mut splittable = features.iter().copied().filter(|&f| data.n_edges(f) > 0);
+    loop {
+        let mut group = [0; FILL_GROUP];
+        let len = group
+            .iter_mut()
+            .zip(splittable.by_ref())
+            .map(|(slot, f)| *slot = f)
+            .count();
+        if len == 0 {
+            break;
+        }
+        let group = &group[..len];
+        let stride = group
+            .iter()
+            .map(|&f| 2 * (data.n_edges(f) + 1))
+            .max()
+            .unwrap_or(0);
+        if hist.len() < len * stride {
+            hist.resize(len * stride, 0);
+        }
+        let mut columns: [&[C]; FILL_GROUP] = [&[]; FILL_GROUP];
+        for (column, &f) in columns.iter_mut().zip(group) {
+            *column = data.column(f);
+        }
+        fill(hist, stride, &columns[..len], samples);
+        for (&f, h) in group.iter().zip(hist.chunks(stride)) {
+            scan(&h[..2 * data.n_edges(f)], f, node, &mut best);
+        }
+    }
+    best.map(|(_, split)| split)
+}
 
-    for &f in features {
-        let n_edges = data.n_edges(f);
-        if n_edges == 0 {
-            continue;
-        }
-        scratch.clear();
-        scratch.resize(n_edges + 1, [0; 2]);
-        let codes = data.column(f);
-        for s in samples {
-            scratch[codes[s.row as usize] as usize][s.label as usize] += s.weight;
-        }
-        let mut left_n = 0u32;
-        let mut left_pos = 0u32;
-        // Candidate b: left = codes 0..=b, i.e. value < edges[b]. An empty
-        // bucket repeats the previous candidate's score, which cannot
-        // beat it strictly, so it is skipped.
-        for (b, bucket) in scratch.iter().enumerate().take(n_edges) {
-            if *bucket == [0; 2] {
-                continue;
-            }
-            left_n += bucket[0] + bucket[1];
-            left_pos += bucket[1];
+/// Scans the candidates of feature `f` over its histogram `hist` (one
+/// `u32` per packed key, up to its last edge) in a node of `n` samples,
+/// `total_pos` of them positive, and keeps the first strictly better one
+/// in `best`, with its weighted gini.
+fn scan(hist: &[u32], f: usize, (n, total_pos): (f64, f64), best: &mut Option<(f64, Split)>) {
+    let mut left_n = 0u32;
+    let mut left_pos = 0u32;
+    // Candidate b: left = codes 0..=b, i.e. value < edges[b]. An empty
+    // bucket repeats the previous candidate's score, which cannot beat
+    // it strictly, so it is skipped: each run of 64 buckets is masked
+    // first, and only the set bits are visited, in order.
+    for (run, buckets) in hist.chunks(128).enumerate() {
+        let mut filled = buckets
+            .chunks_exact(2)
+            .enumerate()
+            .fold(0u64, |mask, (j, bucket)| {
+                mask | u64::from(bucket[0] | bucket[1] != 0) << j
+            });
+        while filled != 0 {
+            let j = filled.trailing_zeros() as usize;
+            filled &= filled - 1;
+            let (neg, pos) = (buckets[2 * j], buckets[2 * j + 1]);
+            left_n += neg + pos;
+            left_pos += pos;
+            let left = (left_n, left_pos);
             let (left_n, left_pos) = (f64::from(left_n), f64::from(left_pos));
             if left_n == 0.0 || left_n == n {
                 continue;
@@ -312,125 +590,138 @@ fn best_binned_split(
             };
             let weighted =
                 (left_n / n) * gini(left_n, left_pos) + (right_n / n) * gini(right_n, right_pos);
-            if best.is_none_or(|(w, _, _)| weighted < w) {
-                best = Some((weighted, f, b));
+            if best.as_ref().is_none_or(|(w, _)| weighted < *w) {
+                *best = Some((
+                    weighted,
+                    Split {
+                        feature: f,
+                        boundary: run * 64 + j,
+                        left,
+                    },
+                ));
             }
         }
     }
-    best.map(|(_, f, b)| (f, b))
 }
 
 /// Recursive histogram-based tree builder matching the exact builder's
-/// stopping rules (purity, `min_samples_split`, depth cap, no usable split).
-#[allow(clippy::too_many_arguments)] // recursion state; a struct would add no clarity
-fn build(
-    data: &BinnedDataset,
-    params: &TreeParams,
-    nodes: &mut Vec<Node>,
-    samples: &mut [Sample],
-    depth: usize,
-    rng: &mut StdRng,
-    feature_pool: &mut Vec<usize>,
-    scratch: &mut Vec<[u32; 2]>,
-) -> usize {
-    let (n, positives) = counts(samples);
-    let prob = f64::from(positives) / f64::from(n);
+/// stopping rules (purity, `min_samples_split`, depth cap, no usable
+/// split), and the state it carries down the recursion.
+struct Builder<'d, C> {
+    data: &'d BinnedDataset<C>,
+    params: &'d TreeParams,
+    nodes: Vec<Node>,
+    rng: StdRng,
+    feature_pool: Vec<usize>,
+    hist: Vec<u32>,
+    /// A node's right-hand samples while it is partitioned.
+    spill: Vec<Sample>,
+}
 
-    let depth_capped = params.max_depth.is_some_and(|d| depth >= d);
-    if positives == 0 || positives == n || (n as usize) < params.min_samples_split || depth_capped {
-        nodes.push(Node::leaf(prob));
-        return nodes.len() - 1;
-    }
+impl<C: Code> Builder<'_, C> {
+    /// Builds the subtree of `samples`, whose counts are `(n, positives)`,
+    /// and returns its root's index.
+    fn build(&mut self, samples: &mut [Sample], (n, positives): Counts, depth: usize) -> usize {
+        let prob = f64::from(positives) / f64::from(n);
 
-    let m = data.n_features();
-    let k = params.max_features.unwrap_or(m).clamp(1, m);
-    if k < m {
-        feature_pool.shuffle(rng);
-    }
-
-    match best_binned_split(data, samples, (n, positives), &feature_pool[..k], scratch) {
-        None => {
-            nodes.push(Node::leaf(prob));
-            nodes.len() - 1
+        let depth_capped = self.params.max_depth.is_some_and(|d| depth >= d);
+        if positives == 0
+            || positives == n
+            || (n as usize) < self.params.min_samples_split
+            || depth_capped
+        {
+            self.nodes.push(Node::leaf(prob));
+            return self.nodes.len() - 1;
         }
-        Some((feature, boundary)) => {
-            let codes = data.column(feature);
-            let mut mid = 0usize;
-            for i in 0..samples.len() {
-                if codes[samples[i].row as usize] as usize <= boundary {
-                    samples.swap(i, mid);
-                    mid += 1;
-                }
-            }
-            if mid == 0 || mid == samples.len() {
-                // The chosen boundary did not separate this node (can happen
-                // when every sample sits on one side of every edge).
-                nodes.push(Node::leaf(prob));
-                return nodes.len() - 1;
-            }
-            let threshold = data.threshold(feature, boundary);
-            let placeholder = nodes.len();
-            nodes.push(Node::leaf(prob)); // replaced below
-            let (left_ids, right_ids) = samples.split_at_mut(mid);
-            let left = build(
-                data,
-                params,
-                nodes,
-                left_ids,
-                depth + 1,
-                rng,
-                feature_pool,
-                scratch,
-            );
-            let right = build(
-                data,
-                params,
-                nodes,
-                right_ids,
-                depth + 1,
-                rng,
-                feature_pool,
-                scratch,
-            );
-            nodes[placeholder] = Node::split(feature, threshold, left, right);
-            placeholder
+
+        let m = self.data.n_features();
+        let k = self.params.max_features.unwrap_or(m).clamp(1, m);
+        if k < m {
+            self.feature_pool.shuffle(&mut self.rng);
         }
+
+        let split = best_binned_split(
+            self.data,
+            samples,
+            (n, positives),
+            &self.feature_pool[..k],
+            &mut self.hist,
+        );
+        let Some(Split {
+            feature,
+            boundary,
+            left,
+        }) = split
+        else {
+            self.nodes.push(Node::leaf(prob));
+            return self.nodes.len() - 1;
+        };
+        // "code <= boundary" on the packed key: the label is the low bit.
+        // The partition is stable, so each child's rows stay in ascending
+        // order and its fills read the code columns front to back.
+        let last_left = 2 * boundary + 1;
+        let codes = self.data.column(feature);
+        let mut mid = 0usize;
+        self.spill.clear();
+        for i in 0..samples.len() {
+            let s = samples[i];
+            if codes[s.row as usize].key() <= last_left {
+                samples[mid] = s;
+                mid += 1;
+            } else {
+                self.spill.push(s);
+            }
+        }
+        samples[mid..].copy_from_slice(&self.spill);
+        // A candidate has weight on both sides, so it separates the node.
+        debug_assert!(mid > 0 && mid < samples.len(), "degenerate split");
+        let threshold = self.data.threshold(feature, boundary);
+        let placeholder = self.nodes.len();
+        self.nodes.push(Node::leaf(prob)); // replaced below
+        let (left_ids, right_ids) = samples.split_at_mut(mid);
+        let right = (n - left.0, positives - left.1);
+        let left = self.build(left_ids, left, depth + 1);
+        let right = self.build(right_ids, right, depth + 1);
+        self.nodes[placeholder] = Node::split(feature, threshold, left, right);
+        placeholder
     }
 }
 
 /// Fits a tree on pre-binned data over a bootstrap sample: `indices` are
 /// rows of the whole training set (never held-out ones), repeated as
 /// drawn. The histogram entry point used by the random forest.
-pub(crate) fn fit_binned(
+pub(crate) fn fit_binned<C: Code>(
     params: TreeParams,
-    data: &BinnedDataset,
+    data: &BinnedDataset<C>,
     indices: &[usize],
 ) -> DecisionTree {
     let mut weights = vec![0u32; data.n_rows];
     for &i in indices {
         weights[i] += 1;
     }
+    // Any column carries the labels.
+    let labels = data.column(0);
+    let mut positives = 0;
     let mut samples: Vec<Sample> = weights
         .iter()
-        .zip(data.labels)
         .zip(0u32..)
-        .filter(|((&weight, _), _)| weight > 0)
-        .map(|((&weight, &label), row)| Sample { row, weight, label })
+        .filter(|&(&weight, _)| weight > 0)
+        .map(|(&weight, row)| {
+            positives += weight * (labels[row as usize].key() & 1) as u32;
+            Sample { row, weight }
+        })
         .collect();
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut nodes = Vec::new();
-    let mut feature_pool: Vec<usize> = (0..data.n_features()).collect();
-    let mut scratch = Vec::new();
-    build(
+    let mut builder = Builder {
         data,
-        &params,
-        &mut nodes,
-        &mut samples,
-        0,
-        &mut rng,
-        &mut feature_pool,
-        &mut scratch,
-    );
+        params: &params,
+        nodes: Vec::new(),
+        rng: StdRng::seed_from_u64(params.seed),
+        feature_pool: (0..data.n_features()).collect(),
+        hist: Vec::new(),
+        spill: Vec::new(),
+    };
+    builder.build(&mut samples, (indices.len() as u32, positives), 0);
+    let nodes = builder.nodes;
     from_nodes(params, nodes)
 }
 
@@ -440,13 +731,19 @@ mod tests {
 
     /// Every row of `d` once, as a bootstrap that drew each row once.
     fn every_row(d: &Dataset) -> Vec<Sample> {
-        (0..d.len())
-            .map(|i| Sample {
-                row: i as u32,
-                weight: 1,
-                label: d.label(i),
-            })
+        (0..d.len() as u32)
+            .map(|row| Sample { row, weight: 1 })
             .collect()
+    }
+
+    /// Weighted size and positives of every row of `d`.
+    fn all_counts(d: &Dataset) -> Counts {
+        (d.len() as u32, d.positives() as u32)
+    }
+
+    /// The bin code of row `i` of feature `f`, label bit stripped.
+    fn code<C: Code>(b: &BinnedDataset<C>, f: usize, i: usize) -> usize {
+        b.column(f)[i].key() >> 1
     }
 
     fn toy() -> Dataset {
@@ -461,9 +758,9 @@ mod tests {
     fn codes_are_monotone_in_value() {
         let d = toy();
         let set = TrainingSet::new(&d);
-        let b = BinnedDataset::new(&set, 0..0, 16, 1);
+        let b = BinnedDataset::<u8>::new(&set, 0..0, 16, 1);
         for i in 1..d.len() {
-            assert!(b.column(0)[i] >= b.column(0)[i - 1]);
+            assert!(code(&b, 0, i) >= code(&b, 0, i - 1));
         }
     }
 
@@ -471,14 +768,73 @@ mod tests {
     fn threshold_consistent_with_codes() {
         let d = toy();
         let set = TrainingSet::new(&d);
-        let b = BinnedDataset::new(&set, 0..0, 16, 1);
+        let b = BinnedDataset::<u8>::new(&set, 0..0, 16, 1);
         // For every sample and boundary: code <= b  <=>  value < threshold.
         for i in 0..d.len() {
             let v = d.row(i)[0];
             for bd in 0..b.n_edges(0) {
-                let by_code = b.column(0)[i] as usize <= bd;
+                let by_code = code(&b, 0, i) <= bd;
                 let by_value = v < b.threshold(0, bd);
                 assert_eq!(by_code, by_value, "i={i} b={bd}");
+            }
+        }
+    }
+
+    #[test]
+    fn labels_ride_in_the_low_bit() {
+        let d = toy();
+        let set = TrainingSet::new(&d);
+        let b = BinnedDataset::<u16>::new(&set, 0..0, 300, 2);
+        for f in 0..d.n_features() {
+            for i in 0..d.len() {
+                assert_eq!(b.column(f)[i].key() & 1 == 1, d.label(i), "f={f} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn sort_marks_exactly_the_ties() {
+        let mut d = Dataset::new(2);
+        for i in 0..50 {
+            let v = [-0.0, 0.0, 1.5, -2.0, 0.25][i % 5];
+            d.push(&[v, (i % 3) as f64 + i as f64 / 100.0], i % 4 == 0);
+        }
+        let set = TrainingSet::new(&d);
+        let sorted = set.sorted(2);
+        for f in 0..d.n_features() {
+            let column = &sorted[f * d.len()..(f + 1) * d.len()];
+            let value = |e: u32| d.row((e & !TIE) as usize)[f];
+            assert_eq!(column[0] & TIE, 0);
+            for w in column.windows(2) {
+                assert!(value(w[0]) <= value(w[1]), "f={f}");
+                assert_eq!(w[1] & TIE != 0, value(w[0]) == value(w[1]), "f={f}");
+            }
+        }
+    }
+
+    /// Keys that share their top bits but not their low ones land in one
+    /// run of the packed sort, out of key order: the run is re-sorted.
+    #[test]
+    fn sort_column_orders_keys_that_share_their_top_bits() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(3);
+        for n in [1usize, 2, 5, 300, 5000] {
+            let keys: Vec<u64> = (0..n)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => 7 << 40 | rng.gen_range(0..64),
+                    1 => rng.gen(),
+                    _ => 1 << 63,
+                })
+                .collect();
+            let mut want: Vec<(u64, u32)> = keys.iter().copied().zip(0..).collect();
+            want.sort_unstable();
+            let mut out = vec![0; n];
+            sort_column(&keys, &mut Vec::new(), &mut out);
+            let rows: Vec<u32> = out.iter().map(|&e| e & !TIE).collect();
+            assert_eq!(rows, want.iter().map(|w| w.1).collect::<Vec<_>>(), "n={n}");
+            for (k, &e) in out.iter().enumerate() {
+                let tie = k > 0 && want[k].0 == want[k - 1].0;
+                assert_eq!(e & TIE != 0, tie, "n={n} entry {k}");
             }
         }
     }
@@ -487,14 +843,42 @@ mod tests {
     fn best_split_separates_the_classes() {
         let d = toy();
         let set = TrainingSet::new(&d);
-        let b = BinnedDataset::new(&set, 0..0, 32, 1);
+        let b = BinnedDataset::<u8>::new(&set, 0..0, 32, 1);
         let samples = every_row(&d);
-        let mut scratch = Vec::new();
-        let (f, bd) =
-            best_binned_split(&b, &samples, counts(&samples), &[0, 1], &mut scratch).unwrap();
-        assert_eq!(f, 0);
-        let t = b.threshold(f, bd);
+        let mut hist = Vec::new();
+        let split = best_binned_split(&b, &samples, all_counts(&d), &[0, 1], &mut hist).unwrap();
+        assert_eq!(split.feature, 0);
+        let t = b.threshold(split.feature, split.boundary);
         assert!((55.0..=65.0).contains(&t), "threshold {t}");
+        let left: Vec<usize> = (0..d.len()).filter(|&i| d.row(i)[0] < t).collect();
+        let left_pos = left.iter().filter(|&&i| d.label(i)).count();
+        assert_eq!(split.left, (left.len() as u32, left_pos as u32));
+    }
+
+    #[test]
+    fn grouped_fill_sums_like_a_plain_one() {
+        let d = toy();
+        let set = TrainingSet::new(&d);
+        let b = BinnedDataset::<u8>::new(&set, 0..0, 8, 1);
+        let samples: Vec<Sample> = (0..d.len() as u32)
+            .map(|row| Sample {
+                row,
+                weight: row % 3 + 1,
+            })
+            .collect();
+        let stride = 2 * (b.n_edges(0).max(b.n_edges(1)) + 1);
+        let columns = [b.column(0), b.column(1), b.column(1), b.column(0)];
+        for len in 1..=FILL_GROUP {
+            let mut grouped = vec![7; FILL_GROUP * stride];
+            fill(&mut grouped, stride, &columns[..len], &samples);
+            for (h, column) in grouped.chunks(stride).zip(&columns[..len]) {
+                let mut plain = vec![0; stride];
+                for s in &samples {
+                    plain[column[s.row as usize].key()] += s.weight;
+                }
+                assert_eq!(h, plain, "{len} columns");
+            }
+        }
     }
 
     #[test]
@@ -504,12 +888,12 @@ mod tests {
             d.push(&[5.0], false);
         }
         let set = TrainingSet::new(&d);
-        let b = BinnedDataset::new(&set, 0..0, 8, 1);
+        let b = BinnedDataset::<u8>::new(&set, 0..0, 8, 1);
         assert_eq!(b.n_edges(0), 0);
         let samples = every_row(&d);
-        let mut scratch = Vec::new();
+        let mut hist = Vec::new();
         assert_eq!(
-            best_binned_split(&b, &samples, counts(&samples), &[0], &mut scratch),
+            best_binned_split(&b, &samples, all_counts(&d), &[0], &mut hist),
             None
         );
     }
@@ -518,7 +902,7 @@ mod tests {
     fn binned_tree_is_pure_on_training_data() {
         let d = toy();
         let set = TrainingSet::new(&d);
-        let b = BinnedDataset::new(&set, 0..0, 64, 1);
+        let b = BinnedDataset::<u8>::new(&set, 0..0, 64, 1);
         let indices: Vec<usize> = (0..d.len()).collect();
         let t = fit_binned(TreeParams::default(), &b, &indices);
         for i in 0..d.len() {
@@ -530,7 +914,7 @@ mod tests {
     fn binned_tree_respects_depth_cap() {
         let d = toy();
         let set = TrainingSet::new(&d);
-        let b = BinnedDataset::new(&set, 0..0, 64, 1);
+        let b = BinnedDataset::<u8>::new(&set, 0..0, 64, 1);
         let indices: Vec<usize> = (0..d.len()).collect();
         let t = fit_binned(
             TreeParams {
@@ -550,24 +934,42 @@ mod tests {
             d.push(&[if i < 90 { 0.0 } else { 1.0 }], i >= 90);
         }
         let set = TrainingSet::new(&d);
-        let b = BinnedDataset::new(&set, 0..0, 16, 1);
+        let b = BinnedDataset::<u8>::new(&set, 0..0, 16, 1);
         assert!(b.n_edges(0) >= 1);
         let samples = every_row(&d);
-        let mut scratch = Vec::new();
-        let (_, bd) =
-            best_binned_split(&b, &samples, counts(&samples), &[0], &mut scratch).unwrap();
-        let t = b.threshold(0, bd);
+        let mut hist = Vec::new();
+        let split = best_binned_split(&b, &samples, all_counts(&d), &[0], &mut hist).unwrap();
+        let t = b.threshold(0, split.boundary);
         assert!(t > 0.0 && t <= 1.0, "threshold {t}");
     }
 
-    /// Bits of every edge and the codes of the given rows, per feature.
-    fn binning(b: &BinnedDataset, rows: &[usize]) -> Vec<(Vec<u64>, Vec<u16>)> {
+    /// Bits of every edge and the packed codes of the given rows, per
+    /// feature.
+    fn binning<C: Code>(b: &BinnedDataset<C>, rows: &[usize]) -> Vec<(Vec<u64>, Vec<usize>)> {
         (0..b.n_features())
             .map(|f| {
                 let edges = b.edges[f].iter().map(|e| e.to_bits()).collect();
-                (edges, rows.iter().map(|&i| b.column(f)[i]).collect())
+                (edges, rows.iter().map(|&i| b.column(f)[i].key()).collect())
             })
             .collect()
+    }
+
+    /// Binning the rows outside `held_out` through the shared sort, and
+    /// a copy of them afresh, at `C`'s width.
+    fn shared_and_fresh<C: Code>(
+        set: &TrainingSet,
+        copy: &Dataset,
+        held_out: Range<usize>,
+        bins: usize,
+    ) -> [Vec<(Vec<u64>, Vec<usize>)>; 2] {
+        let n = set.data().len();
+        let kept: Vec<usize> = (0..n).filter(|i| !held_out.contains(i)).collect();
+        let shared = BinnedDataset::<C>::new(set, held_out, bins, 3);
+        let fresh = BinnedDataset::<C>::new(&TrainingSet::new(copy), 0..0, bins, 1);
+        [
+            binning(&shared, &kept),
+            binning(&fresh, &(0..kept.len()).collect::<Vec<_>>()),
+        ]
     }
 
     #[test]
@@ -589,15 +991,52 @@ mod tests {
             for held_out in [0..0, 0..n / 5, n / 3..n / 2, n - n / 5..n] {
                 let kept: Vec<usize> = (0..n).filter(|i| !held_out.contains(i)).collect();
                 let copy = d.subset(&kept);
-                let copy_set = TrainingSet::new(&copy);
-                for bins in [2, 4, 64] {
-                    let shared = BinnedDataset::new(&set, held_out.clone(), bins, 3);
-                    let fresh = BinnedDataset::new(&copy_set, 0..0, bins, 1);
+                for bins in [2, 4, 64, 128] {
+                    let [shared, fresh] =
+                        shared_and_fresh::<u8>(&set, &copy, held_out.clone(), bins);
+                    assert_eq!(shared, fresh, "n={n} held out {held_out:?}, {bins} bins");
+                    let [wide, _] = shared_and_fresh::<u16>(&set, &copy, held_out.clone(), bins);
                     assert_eq!(
-                        binning(&shared, &kept),
-                        binning(&fresh, &(0..kept.len()).collect::<Vec<_>>()),
-                        "n={n} held out {held_out:?}, {bins} bins"
+                        wide, shared,
+                        "n={n} held out {held_out:?}, {bins} bins, u16"
                     );
+                }
+                let [shared, fresh] = shared_and_fresh::<u16>(&set, &copy, held_out.clone(), 300);
+                assert_eq!(shared, fresh, "n={n} held out {held_out:?}, 300 bins");
+            }
+        }
+    }
+
+    /// The tie-group walk against the rule it implements, spelled out on
+    /// the kept values in sorted order.
+    #[test]
+    fn edges_follow_the_quantile_rule() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(9);
+        for n in [1usize, 2, 9, 57, 400] {
+            let mut d = Dataset::new(1);
+            for _ in 0..n {
+                let v = [-0.0, 0.0, 3.0, -1.0][rng.gen_range(0..4)] + rng.gen_range(0..3) as f64;
+                d.push(&[v], rng.gen_bool(0.5));
+            }
+            let set = TrainingSet::new(&d);
+            for held_out in [0..0, 0..n / 2, n / 3..n - n / 3] {
+                if held_out.len() == n {
+                    continue;
+                }
+                let mut col: Vec<f64> = (0..n)
+                    .filter(|i| !held_out.contains(i))
+                    .map(|i| d.row(i)[0])
+                    .collect();
+                col.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                for bins in [2, 3, 16, 128] {
+                    let kept = col.len();
+                    let mut want: Vec<f64> = (1..bins).map(|b| col[b * kept / bins]).collect();
+                    want.dedup();
+                    want.retain(|&e| e > col[0]);
+                    let b = BinnedDataset::<u8>::new(&set, held_out.clone(), bins, 1);
+                    let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&b.edges[0]), bits(&want), "n={n} {held_out:?} {bins}");
                 }
             }
         }

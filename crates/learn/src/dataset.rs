@@ -128,16 +128,6 @@ impl Dataset {
         self.labels.extend_from_slice(&other.labels);
     }
 
-    /// The contiguous sub-dataset `range`.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Dataset {
-        Dataset {
-            n_features: self.n_features,
-            features: self.features[range.start * self.n_features..range.end * self.n_features]
-                .to_vec(),
-            labels: self.labels[range].to_vec(),
-        }
-    }
-
     /// Column `c` copied out.
     pub fn column(&self, c: usize) -> Vec<f64> {
         (0..self.len()).map(|i| self.row(i)[c]).collect()
@@ -205,14 +195,6 @@ mod tests {
         d.extend(&e);
         assert_eq!(d.len(), 6);
         assert_eq!(d.row(5), &[3.0, 30.0]);
-    }
-
-    #[test]
-    fn slice_is_contiguous_range() {
-        let d = toy();
-        let s = d.slice(1..3);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.row(0), &[2.0, 20.0]);
     }
 
     #[test]

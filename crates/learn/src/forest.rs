@@ -20,12 +20,13 @@
 //! thread count produces the same forest, which `tests/train_differential.rs`
 //! proves structurally (tree bytes, probabilities, compiled arena).
 
-use crate::binned::{fit_binned, BinnedDataset, TrainingSet};
+use crate::binned::{Binned, TrainingSet};
 use crate::tree::{fit_on_indices, DecisionTree, TreeParams};
 use crate::{Classifier, Dataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Random-forest hyperparameters. The paper stresses that forests "have
 /// only two parameters and are not very sensitive to them" \[38\]: the tree
@@ -46,6 +47,34 @@ pub struct RandomForestParams {
     pub n_bins: Option<usize>,
     /// Master seed; the forest is deterministic given it.
     pub seed: u64,
+}
+
+impl RandomForestParams {
+    /// The most histogram bins a binned fit takes: a bin code carries the
+    /// row's label in its low bit and must fit a `u16`.
+    pub const MAX_BINS: usize = 1 << 15;
+
+    /// Checks that a fit can use these params: at least one tree, a finite
+    /// positive `sample_fraction`, and `n_bins` (when set) in
+    /// `2..=MAX_BINS`. The error names the first unusable field.
+    ///
+    /// Persistence refuses params that fail this, and so does
+    /// `Opprentice::start_retrain`, before any job starts.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.n_trees == 0 {
+            return Err("n_trees");
+        }
+        if !(self.sample_fraction.is_finite() && self.sample_fraction > 0.0) {
+            return Err("sample_fraction");
+        }
+        if self
+            .n_bins
+            .is_some_and(|b| !(2..=Self::MAX_BINS).contains(&b))
+        {
+            return Err("n_bins");
+        }
+        Ok(())
+    }
 }
 
 impl Default for RandomForestParams {
@@ -146,7 +175,9 @@ impl RandomForest {
     ///
     /// # Panics
     ///
-    /// Panics if `held_out` reaches past the last row or no row remains.
+    /// Panics if `held_out` reaches past the last row, no row remains, or
+    /// `n_bins` is outside `2..=MAX_BINS` (see
+    /// [`RandomForestParams::validate`]).
     pub fn fit_held_out(&mut self, set: &TrainingSet, held_out: Range<usize>, threads: usize) {
         let data = set.data();
         assert!(held_out.end <= data.len(), "held-out block out of range");
@@ -162,7 +193,7 @@ impl RandomForest {
         let binned = self
             .params
             .n_bins
-            .map(|b| BinnedDataset::new(set, held_out.clone(), b, threads));
+            .map(|b| Binned::new(set, held_out.clone(), b, threads));
         let n_trees = self.params.n_trees;
         let threads = threads.clamp(1, n_trees.max(1));
 
@@ -190,7 +221,7 @@ impl RandomForest {
                 seed: tree_seed ^ 0xA5A5_5A5A,
             };
             match binned_ref {
-                Some(b) => fit_binned(tp, b, &indices),
+                Some(b) => b.fit_tree(tp, &indices),
                 None => fit_on_indices(tp, data, &mut indices),
             }
         };
@@ -200,16 +231,25 @@ impl RandomForest {
             return;
         }
 
-        let chunk = n_trees.div_ceil(threads);
+        // Each worker takes the next unbuilt tree as it finishes one, so
+        // trees that cost more do not leave the other workers waiting.
+        let next = AtomicUsize::new(0);
         let mut trees: Vec<(usize, DecisionTree)> = Vec::with_capacity(n_trees);
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t0 in (0..n_trees).step_by(chunk) {
-                let hi = (t0 + chunk).min(n_trees);
-                let build = &build;
-                handles
-                    .push(scope.spawn(move || (t0..hi).map(|t| (t, build(t))).collect::<Vec<_>>()));
-            }
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut built = Vec::new();
+                        loop {
+                            let t = next.fetch_add(1, Ordering::Relaxed);
+                            if t >= n_trees {
+                                return built;
+                            }
+                            built.push((t, build(t)));
+                        }
+                    })
+                })
+                .collect();
             for h in handles {
                 trees.extend(h.join().expect("tree-training thread panicked"));
             }
@@ -409,6 +449,40 @@ mod tests {
         });
         f.fit(&train);
         assert_eq!(f.tree_count(), 5);
+    }
+
+    #[test]
+    fn validate_names_the_first_unusable_field() {
+        let with = |edit: fn(&mut RandomForestParams)| {
+            let mut p = RandomForestParams::default();
+            edit(&mut p);
+            p.validate()
+        };
+        assert_eq!(with(|_| {}), Ok(()));
+        assert_eq!(with(|p| p.n_bins = None), Ok(()));
+        assert_eq!(with(|p| p.n_bins = Some(2)), Ok(()));
+        assert_eq!(
+            with(|p| p.n_bins = Some(RandomForestParams::MAX_BINS)),
+            Ok(())
+        );
+        assert_eq!(with(|p| p.n_trees = 0), Err("n_trees"));
+        assert_eq!(with(|p| p.sample_fraction = 0.0), Err("sample_fraction"));
+        assert_eq!(
+            with(|p| p.sample_fraction = f64::NAN),
+            Err("sample_fraction")
+        );
+        assert_eq!(with(|p| p.n_bins = Some(1)), Err("n_bins"));
+        assert_eq!(
+            with(|p| p.n_bins = Some(RandomForestParams::MAX_BINS + 1)),
+            Err("n_bins")
+        );
+        // The first unusable field is named.
+        let both = RandomForestParams {
+            n_trees: 0,
+            n_bins: Some(1),
+            ..Default::default()
+        };
+        assert_eq!(both.validate(), Err("n_trees"));
     }
 
     #[test]

@@ -94,21 +94,15 @@ pub fn encode_params(p: &RandomForestParams, out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// [`PersistError::Truncated`] if `buf` ends inside the block;
-/// [`PersistError::BadParam`] if a field is outside its domain: no fit
-/// can use a zero tree count, a non-positive or non-finite sample
-/// fraction, or a bin count outside `2..=u16::MAX`.
+/// [`PersistError::BadParam`] if the optional-params bitmap has unknown
+/// bits, or the params are ones no fit can use
+/// ([`RandomForestParams::validate`] names the field).
 pub fn decode_params(buf: &mut &[u8]) -> Result<RandomForestParams, PersistError> {
     if buf.remaining() < 4 + 8 + 8 + 1 {
         return Err(PersistError::Truncated);
     }
     let n_trees = buf.get_u32_le() as usize;
-    if n_trees == 0 {
-        return Err(PersistError::BadParam("n_trees"));
-    }
     let sample_fraction = buf.get_f64_le();
-    if !(sample_fraction.is_finite() && sample_fraction > 0.0) {
-        return Err(PersistError::BadParam("sample_fraction"));
-    }
     let seed = buf.get_u64_le();
     let opt = buf.get_u8();
     if opt > 0b111 {
@@ -126,18 +120,16 @@ pub fn decode_params(buf: &mut &[u8]) -> Result<RandomForestParams, PersistError
     let max_features = opt_field(0)?;
     let max_depth = opt_field(1)?;
     let n_bins = opt_field(2)?;
-    // Binned fits need at least two bins and codes that fit a `u16`.
-    if n_bins.is_some_and(|b| !(2..=u16::MAX as usize).contains(&b)) {
-        return Err(PersistError::BadParam("n_bins"));
-    }
-    Ok(RandomForestParams {
+    let params = RandomForestParams {
         n_trees,
         max_features,
         sample_fraction,
         max_depth,
         n_bins,
         seed,
-    })
+    };
+    params.validate().map_err(PersistError::BadParam)?;
+    Ok(params)
 }
 
 fn encode_tree(tree: &DecisionTree, out: &mut Vec<u8>) {
@@ -466,7 +458,7 @@ mod tests {
     }
 
     /// Params a fit would panic on: zero trees, or a bin count outside
-    /// `2..=u16::MAX`.
+    /// `2..=RandomForestParams::MAX_BINS`.
     #[test]
     fn unusable_tree_and_bin_counts_rejected() {
         let block = |n_trees: usize, n_bins: Option<usize>| {
@@ -486,14 +478,15 @@ mod tests {
             decode(block(0, Some(64))).err(),
             Some(PersistError::BadParam("n_trees"))
         );
-        for bins in [0, 1, u16::MAX as usize + 1] {
+        let max = RandomForestParams::MAX_BINS;
+        for bins in [0, 1, max + 1, u16::MAX as usize] {
             assert_eq!(
                 decode(block(3, Some(bins))).err(),
                 Some(PersistError::BadParam("n_bins")),
                 "{bins} bins"
             );
         }
-        for bins in [Some(2), Some(u16::MAX as usize), None] {
+        for bins in [Some(2), Some(max), None] {
             assert_eq!(decode(block(3, bins)).unwrap().n_bins, bins);
         }
     }

@@ -600,8 +600,10 @@ fn retrain_without_usable_anomaly_matches_the_reference_harvest() {
 //
 // The differentials above compare the engine with itself. These digests
 // pin its output to fixed values, recorded before the training set was
-// sorted once and shared across folds: any change to edge selection, tie
-// order, histogram arithmetic or tree layout shows up here.
+// sorted once and shared across folds; the 256-bin forest and the folds
+// that hold tie groups out whole were recorded before the sort marked
+// ties and the codes took the label bit. Any change to edge selection,
+// tie order, histogram arithmetic or tree layout shows up here.
 // ---------------------------------------------------------------------------
 
 use opprentice::cthld::Preference;
@@ -682,6 +684,32 @@ fn forests_hash_to_their_pinned_values() {
         got.push(forest_digest(&fit(&pinned_params(3, None, 10), &d, 1)));
     }
     assert_eq!(got, PINNED_FORESTS);
+    // More than 128 bins: the codes no longer fit a byte.
+    let wide = forest_digest(&fit(&pinned_params(6, Some(256), 12), &pv, 1));
+    assert_eq!(wide, PINNED_WIDE_FOREST, "256 bins");
+}
+
+/// Columns whose tie groups sit inside one five-fold block of 240 rows:
+/// column 0's zeros of both signs only in rows 96..144 (the third fold),
+/// column 1's 7.5s only in rows 0..48 (the first). A fold that holds such
+/// a block out loses the whole group, together with the edges it held.
+fn held_out_tie_dataset() -> Dataset {
+    let mut d = Dataset::new(3);
+    for i in 0..240usize {
+        let v0 = if (96..144).contains(&i) && i % 3 != 2 {
+            [-0.0, 0.0][(i / 3) % 2]
+        } else {
+            [-2.0, -1.0, 1.0, 2.0][i % 4] + (i % 3) as f64 * 0.25
+        };
+        let v1 = if i < 48 && i % 2 == 0 {
+            7.5
+        } else {
+            ((i * 37) % 11) as f64
+        };
+        let v2 = ((i * 53) % 17) as f64 - 8.0;
+        d.push(&[v0, v1, v2], (v0 >= 0.0 && i % 5 != 1) || i % 31 == 7);
+    }
+    d
 }
 
 /// Each five-fold forest on the pv slice: trained on everything but one
@@ -704,6 +732,25 @@ fn fold_forests_hash_to_their_pinned_values() {
         }
         assert_eq!(shared, PINNED_FOLDS, "shared sort, {threads} threads");
         assert_eq!(copied, PINNED_FOLDS, "copied rows, {threads} threads");
+    }
+
+    let ties = held_out_tie_dataset();
+    let set = TrainingSet::new(&ties);
+    for threads in [1, 3] {
+        let mut shared = Vec::new();
+        let mut copied = Vec::new();
+        for (bins, seed) in [(64, 13), (8, 14)] {
+            let params = pinned_params(6, Some(bins), seed);
+            for test in opprentice_learn::cv::k_fold(ties.len(), 5) {
+                let mut f = RandomForest::new(params.clone());
+                f.fit_held_out(&set, test.clone(), threads);
+                shared.push(forest_digest(&f));
+                let kept: Vec<usize> = (0..ties.len()).filter(|i| !test.contains(i)).collect();
+                copied.push(forest_digest(&fit(&params, &ties.subset(&kept), threads)));
+            }
+        }
+        assert_eq!(shared, PINNED_TIE_FOLDS, "shared sort, {threads} threads");
+        assert_eq!(copied, PINNED_TIE_FOLDS, "copied rows, {threads} threads");
     }
 }
 
@@ -739,5 +786,18 @@ const PINNED_FOLDS: [u64; 5] = [
     0x39c0_b8bb_cc0f_0f26,
     0xa314_2a1b_39d0_cb41,
     0x6c93_696e_14f8_31af,
+];
+const PINNED_WIDE_FOREST: u64 = 0x0c93_de21_bc30_9769;
+const PINNED_TIE_FOLDS: [u64; 10] = [
+    0x7d87_b916_6b25_1268,
+    0xb560_cf70_27c9_eeb3,
+    0x81b1_97ed_58ad_949a,
+    0xdc05_db4a_4c4d_7234,
+    0x25fa_f8b4_d19f_9a69,
+    0x3430_f1eb_e1ba_48c6,
+    0xe143_b382_c45b_c43d,
+    0x1dc3_8ccb_e0e8_d760,
+    0x0367_a88a_7014_05be,
+    0xdb50_b171_1003_031b,
 ];
 const PINNED_CTHLD: f64 = 0.626;
