@@ -36,9 +36,11 @@
 //! preset: the first retrain job's phases (`onboarding`: re-extraction,
 //! model fit and the five cThld folds over one shared column sort, then a
 //! lone fit on a fresh training set as a weekly retrain does, at 3 days
-//! of history, plus 4 weeks under `--full`), and the serving cost
-//! of the first 3,000 points after that model lands against the next
-//! 3,000 (`first_model_windows`).
+//! of history, plus 4 weeks under `--full`; medians over repeats), and the
+//! serving cost of the first 3,000 points after that model lands against
+//! the next 3,000 (`first_model_windows`). The trained 3-day session's
+//! size is reported too (`session_model`): one snapshot's bytes and the
+//! heap of its model.
 //!
 //! Results land in `results/BENCH_serving.json`. Modes: `--tiny` (CI
 //! smoke, seconds), default (laptop-sized), `--full` (paper-sized forest
@@ -48,6 +50,7 @@
 
 use opprentice::features::{extract_features, OnlineExtractor};
 use opprentice::predictor::five_fold_cthld;
+use opprentice::snapshot::SessionSnapshot;
 use opprentice::{Opprentice, OpprenticeConfig};
 use opprentice_detectors::{clamp_severity, registry, Detector};
 use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams, TrainingSet};
@@ -436,6 +439,9 @@ fn session_memory(n_trees: usize) -> (usize, Option<u64>) {
     (history, before.zip(after).map(|(b, a)| a.saturating_sub(b)))
 }
 
+/// Repeats of each onboarding phase; the median is reported.
+const ONBOARD_REPS: usize = 5;
+
 /// Phase times of one onboarding job (see [`onboarding`]).
 struct Onboarding {
     days: usize,
@@ -451,46 +457,57 @@ struct Onboarding {
 /// phase by phase: re-extract the history, fit the model (which sorts the
 /// feature columns), then fit and score the five cThld folds over the
 /// same sorted set. Then a weekly retrain's shape: a fresh training set
-/// and one fit, with no folds to share its sort.
+/// and one fit, with no folds to share its sort. Every phase runs
+/// [`ONBOARD_REPS`] times and reports its median.
 fn onboarding(days: usize, n_trees: usize) -> Onboarding {
     let history = days * 1440;
     let mut spec = opprentice_datagen::presets::pv();
     spec.weeks = days.div_ceil(7);
     let kpi = spec.generate();
-
-    let t0 = Instant::now();
-    let matrix = extract_features(&kpi.series.slice(0..history));
-    let (ds, _) = matrix.dataset(&kpi.truth, 0..history);
-    let extract_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(ds.positives() > 0, "pv history holds a labeled anomaly");
-
     let config = OpprenticeConfig::default();
     let params = RandomForestParams {
         n_trees,
         ..config.forest
     };
-    let set = TrainingSet::new(&ds);
-    let t0 = Instant::now();
-    let mut forest = RandomForest::new(params.clone());
-    forest.fit_held_out(&set, 0..0, configured_threads());
-    let fit_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    std::hint::black_box(five_fold_cthld(&set, &config.preference, &params));
-    let five_fold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    drop(set);
-    let t0 = Instant::now();
-    let mut lone = RandomForest::new(params);
-    lone.fit_held_out(&TrainingSet::new(&ds), 0..0, configured_threads());
-    let lone_fit_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let fit = |set: &TrainingSet| {
+        let mut forest = RandomForest::new(params.clone());
+        forest.fit_held_out(set, 0..0, configured_threads());
+        std::hint::black_box(forest);
+    };
+    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
+
+    let mut phases: [Vec<f64>; 4] = Default::default();
+    let mut shape = (0, 0);
+    for _ in 0..ONBOARD_REPS {
+        let t0 = Instant::now();
+        let matrix = extract_features(&kpi.series.slice(0..history));
+        let (ds, _) = matrix.dataset(&kpi.truth, 0..history);
+        phases[0].push(ms(t0));
+        assert!(ds.positives() > 0, "pv history holds a labeled anomaly");
+        shape = (ds.len(), ds.n_features());
+
+        let set = TrainingSet::new(&ds);
+        let t0 = Instant::now();
+        fit(&set);
+        phases[1].push(ms(t0));
+        let t0 = Instant::now();
+        std::hint::black_box(five_fold_cthld(&set, &config.preference, &params));
+        phases[2].push(ms(t0));
+        drop(set);
+        let t0 = Instant::now();
+        fit(&TrainingSet::new(&ds));
+        phases[3].push(ms(t0));
+    }
+    let [extract_ms, fit_ms, five_fold_ms, lone_fit_ms] = phases.map(median);
     Onboarding {
         days,
-        rows: ds.len(),
+        rows: shape.0,
         extract_ms,
         fit_ms,
         five_fold_ms,
         lone_fit_ms,
         // The shared sort holds one `u32` row index per (row, feature).
-        sorted_bytes: ds.len() * ds.n_features() * 4,
+        sorted_bytes: shape.0 * shape.1 * 4,
     }
 }
 
@@ -512,8 +529,9 @@ struct WindowCost {
 /// Times the first [`LANDING_WINDOW`] points a pipeline serves through
 /// `observe` right after its first model lands (`wait_retrain`) against
 /// the next [`LANDING_WINDOW`], on the 1-minute pv preset, once per
-/// fresh pipeline. Returns `(first, next)` per pipeline.
-fn landing_windows(reps: usize, n_trees: usize) -> Vec<(WindowCost, WindowCost)> {
+/// fresh pipeline (at least one). Returns `(first, next)` per pipeline,
+/// and the last pipeline.
+fn landing_windows(reps: usize, n_trees: usize) -> (Vec<(WindowCost, WindowCost)>, Opprentice) {
     let history = LANDING_HISTORY_DAYS * 1440;
     let mut spec = opprentice_datagen::presets::pv();
     spec.weeks = (history + 2 * LANDING_WINDOW).div_ceil(7 * 1440);
@@ -525,34 +543,32 @@ fn landing_windows(reps: usize, n_trees: usize) -> Vec<(WindowCost, WindowCost)>
         },
         ..Default::default()
     };
-    (0..reps)
-        .map(|_| {
-            let mut opp = Opprentice::new(60, config.clone());
-            opp.ingest_history(&kpi.series.slice(0..history), &kpi.truth.slice(0..history))
-                .expect("fresh pipeline accepts history");
-            opp.start_retrain()
-                .expect("pv history holds a labeled anomaly");
-            opp.wait_retrain().expect("a job was in flight");
-            let mut window = |start: usize| {
-                let (extract0, infer0) = (opp.extract_us(), opp.infer_us());
-                let t0 = Instant::now();
-                for i in start..start + LANDING_WINDOW {
-                    std::hint::black_box(
-                        opp.observe(kpi.series.timestamp_at(i), kpi.series.get(i)),
-                    );
-                }
-                let per_pt = |us: f64| us / LANDING_WINDOW as f64;
-                WindowCost {
-                    total: per_pt(t0.elapsed().as_secs_f64() * 1e6),
-                    extract: per_pt((opp.extract_us() - extract0) as f64),
-                    infer: per_pt((opp.infer_us() - infer0) as f64),
-                }
-            };
-            let first = window(history);
-            let next = window(history + LANDING_WINDOW);
-            (first, next)
-        })
-        .collect()
+    let mut windows = Vec::with_capacity(reps);
+    loop {
+        let mut opp = Opprentice::new(60, config.clone());
+        opp.ingest_history(&kpi.series.slice(0..history), &kpi.truth.slice(0..history))
+            .expect("fresh pipeline accepts history");
+        opp.start_retrain()
+            .expect("pv history holds a labeled anomaly");
+        opp.wait_retrain().expect("a job was in flight");
+        let mut window = |start: usize| {
+            let (extract0, infer0) = (opp.extract_us(), opp.infer_us());
+            let t0 = Instant::now();
+            for i in start..start + LANDING_WINDOW {
+                std::hint::black_box(opp.observe(kpi.series.timestamp_at(i), kpi.series.get(i)));
+            }
+            let per_pt = |us: f64| us / LANDING_WINDOW as f64;
+            WindowCost {
+                total: per_pt(t0.elapsed().as_secs_f64() * 1e6),
+                extract: per_pt((opp.extract_us() - extract0) as f64),
+                infer: per_pt((opp.infer_us() - infer0) as f64),
+            }
+        };
+        windows.push((window(history), window(history + LANDING_WINDOW)));
+        if windows.len() >= reps {
+            return (windows, opp);
+        }
+    }
 }
 
 /// Median of a non-empty sample.
@@ -597,11 +613,12 @@ fn main() {
         .collect();
     for o in &onboard {
         eprintln!(
-            "[onboarding] {} days ({} rows, {} trees): extract {:.1} ms, fit {:.1} ms, \
-             five-fold {:.1} ms, lone fit {:.1} ms, shared sort {:.1} MB",
+            "[onboarding] {} days ({} rows, {} trees, median of {}): extract {:.1} ms, \
+             fit {:.1} ms, five-fold {:.1} ms, lone fit {:.1} ms, shared sort {:.1} MB",
             o.days,
             o.rows,
             sizes.server_trees,
+            ONBOARD_REPS,
             o.extract_ms,
             o.fit_ms,
             o.five_fold_ms,
@@ -611,7 +628,13 @@ fn main() {
     }
 
     // ---- The first points served after a model lands ---------------------
-    let landing = landing_windows(sizes.landing_reps, sizes.server_trees);
+    let (landing, trained) = landing_windows(sizes.landing_reps, sizes.server_trees);
+    let model = trained.compiled_forest().expect("the model landed");
+    let (model_nodes, model_bytes) = (model.node_count(), model.heap_bytes());
+    let snapshot_bytes = SessionSnapshot::capture(&trained, 0).to_bytes().len();
+    eprintln!(
+        "[session-model] {model_nodes} nodes: {snapshot_bytes} B snapshot, {model_bytes} B heap"
+    );
     let landing_median =
         |pick: fn(&(WindowCost, WindowCost)) -> f64| median(landing.iter().map(pick).collect());
     let first_us = landing_median(|w| w.0.total);
@@ -953,9 +976,10 @@ fn main() {
     "session_bytes_per_point": {session_bpp}
   }},
   "onboarding": {{
-    "note": "the first retrain job's phases on labeled 1-minute pv history: re-extraction, model fit (including the one column sort), five-fold cThld fits and scoring over the same sorted set; then lone_fit_ms, a weekly retrain's shape: a fresh training set and one fit; sorted_bytes is the sort's row-index array (4 B per row and feature; each fit's 1 B per cell of bin codes comes on top)",
+    "note": "medians over repeats of the first retrain job's phases on labeled 1-minute pv history: re-extraction, model fit (including the one column sort), five-fold cThld fits and scoring over the same sorted set; then lone_fit_ms, a weekly retrain's shape: a fresh training set and one fit; sorted_bytes is the sort's row-index array (4 B per row and feature; each fit's 1 B per cell of bin codes comes on top)",
     "n_trees": {server_trees},
     "threads": {train_threads},
+    "repeats": {onboard_reps},
     "runs": [
 {onboard_json}
     ]
@@ -971,6 +995,13 @@ fn main() {
     "next_extract_us_per_pt": {next_extract:.3},
     "next_infer_us_per_pt": {next_infer:.3},
     "median_first_over_next": {landing_ratio:.3}
+  }},
+  "session_model": {{
+    "note": "the last trained session of first_model_windows ({landing_days} days of 1-minute pv history): snapshot_bytes is the length of SessionSnapshot::capture(..).to_bytes(), model_bytes the heap of its one model (CompiledForest::heap_bytes); report only",
+    "n_trees": {server_trees},
+    "nodes": {model_nodes},
+    "snapshot_bytes": {snapshot_bytes},
+    "model_bytes": {model_bytes}
   }},
   "inference_microbench": {{
     "n_trees": {micro_trees},
@@ -1058,6 +1089,7 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
+        onboard_reps = ONBOARD_REPS,
         landing_window = LANDING_WINDOW,
         landing_days = LANDING_HISTORY_DAYS,
         landing_reps = landing.len(),

@@ -72,5 +72,5 @@ pub use cthld::{CthldMetric, Preference};
 pub use error::PipelineError;
 pub use features::{extract_features, FamilyStat, FeatureMatrix};
 pub use pipeline::{Detection, Opprentice, OpprenticeConfig, RetrainError, TrainingReport};
-pub use snapshot::{RecoveryError, SessionSnapshot, SnapshotError};
+pub use snapshot::{SessionSnapshot, SnapshotError};
 pub use strategy::TrainingStrategy;

@@ -111,7 +111,6 @@ struct TrainOutcome {
     /// 5-fold initialization value, computed only when the predictor would
     /// otherwise still be uninitialized after applying `best`.
     init: Option<f64>,
-    forest: RandomForest,
     compiled: CompiledForest,
     /// The job's extractor, advanced over the labeled prefix — handed back
     /// only when the session had no serving extractor at submission, so
@@ -140,9 +139,8 @@ pub struct Opprentice {
     /// The served point's severity row (`None` → 0.0), reused per point.
     row: Vec<f64>,
     truth: Labels,
-    forest: Option<RandomForest>,
-    /// The forest flattened for the serving hot path — rebuilt whenever
-    /// `forest` changes, bit-identical to it in every prediction.
+    /// The serving model: the trained forest flattened for the hot path.
+    /// The tree-enum forest itself never leaves the training job.
     compiled: Option<CompiledForest>,
     predictor: EwmaCthldPredictor,
     /// Cumulative wall-clock nanoseconds spent in serving-thread feature
@@ -225,7 +223,6 @@ impl Opprentice {
             extractor: None,
             row: Vec::new(),
             truth: Labels::all_normal(0),
-            forest: None,
             compiled: None,
             predictor,
             extract_ns: 0,
@@ -256,7 +253,7 @@ impl Opprentice {
 
     /// `true` once a classifier has been trained.
     pub fn is_trained(&self) -> bool {
-        self.forest.is_some()
+        self.compiled.is_some()
     }
 
     /// The configuration the pipeline was created with.
@@ -317,13 +314,8 @@ impl Opprentice {
         &self.truth
     }
 
-    /// The trained classifier, if any.
-    pub fn forest(&self) -> Option<&RandomForest> {
-        self.forest.as_ref()
-    }
-
-    /// The compiled (serving-path) forest, if trained — predictions from
-    /// it are bit-identical to [`Opprentice::forest`]'s tree walk.
+    /// The serving model, if trained: the trained forest compiled, its
+    /// predictions bit-identical to the forest's tree walk.
     pub fn compiled_forest(&self) -> Option<&CompiledForest> {
         self.compiled.as_ref()
     }
@@ -336,7 +328,7 @@ impl Opprentice {
     }
 
     /// Installs externally restored trained state (a decoded snapshot):
-    /// the classifier, the EWMA prediction, and the model version the
+    /// the serving model, the EWMA prediction, and the model version the
     /// snapshot was taken at. Observation and label state are *not*
     /// touched — the caller rebuilds those by replaying the write-ahead
     /// log, which is what keeps restored sessions scoring identically to
@@ -345,18 +337,17 @@ impl Opprentice {
     /// extractor first.
     pub fn restore_trained_state(
         &mut self,
-        forest: Option<RandomForest>,
+        model: Option<CompiledForest>,
         prediction: Option<f64>,
         model_version: u64,
     ) {
-        self.compiled = forest.as_ref().map(RandomForest::compile);
-        self.forest = forest;
+        self.compiled = model;
         self.model_version = model_version;
         match prediction {
             Some(c) => self.predictor.initialize(c),
             None => self.predictor = EwmaCthldPredictor::new(self.config.cthld_alpha),
         }
-        if self.forest.is_some() && self.extractor.is_none() {
+        if self.compiled.is_some() && self.extractor.is_none() {
             self.install_extractor(OnlineExtractor::new(self.interval), 0);
         }
     }
@@ -607,18 +598,19 @@ impl Opprentice {
                 // Without an old model every score is `None`: no curve, no best.
                 let best = best_cthld(&pr_curve(&scores, &flags[week_start..]), &preference);
                 // The model and the five cThld folds share one column sort.
+                // Only the compiled model leaves the job.
                 let set = TrainingSet::new(&ds);
                 let mut forest = RandomForest::new(params.clone());
                 forest.fit_held_out(&set, 0..0, configured_threads());
+                let compiled = forest.compile();
+                drop(forest);
                 // 5-fold initialization only when the predictor would still
                 // be empty after applying `best` (the first-round case).
                 let init = (!has_prediction && best.is_none())
                     .then(|| five_fold_cthld(&set, &preference, &params));
-                let compiled = forest.compile();
                 TrainOutcome {
                     best,
                     init,
-                    forest,
                     compiled,
                     extractor: hand_back.then_some(extractor),
                     train_ns: t0.elapsed().as_nanos() as u64,
@@ -635,8 +627,8 @@ impl Opprentice {
 
     /// Installs a finished background job if one is ready; non-blocking.
     /// Returns `None` while no job is in flight or the job is still
-    /// training. The swap — forest, compiled forest, cThld prediction,
-    /// model version — happens entirely inside this call, so observers
+    /// training. The swap — model, cThld prediction, model version —
+    /// happens entirely inside this call, so observers
     /// before it see the old model and observers after it see the new one;
     /// there is no intermediate state.
     pub fn poll_retrain(&mut self) -> Option<TrainingReport> {
@@ -674,7 +666,6 @@ impl Opprentice {
             self.install_extractor(extractor, job.prefix);
         }
         self.compiled = Some(outcome.compiled);
-        self.forest = Some(outcome.forest);
         self.model_version += 1;
         self.train_ns += outcome.train_ns;
         Some(TrainingReport {
@@ -896,10 +887,6 @@ mod tests {
         assert_eq!(report.model_version, 1);
         assert_eq!(bg.model_version(), sync.model_version());
         assert_eq!(bg.predicted_cthld(), sync.predicted_cthld());
-        assert_eq!(
-            bg.forest().unwrap().to_bytes(),
-            sync.forest().unwrap().to_bytes()
-        );
         assert_eq!(bg.compiled_forest(), sync.compiled_forest());
 
         let t0 = series.timestamp_at(series.len() - 1) + i64::from(INTERVAL);
@@ -998,6 +985,13 @@ mod tests {
         drop(opp); // must not deadlock or panic; the job thread detaches
     }
 
+    /// The session's model after a trip through its stored bytes.
+    fn stored_model(opp: &Opprentice) -> Option<CompiledForest> {
+        let bytes = opp.compiled_forest()?.to_bytes();
+        let width = opprentice_detectors::registry(INTERVAL).len();
+        Some(CompiledForest::from_bytes(&bytes, width).unwrap())
+    }
+
     fn row_bits(row: &[f64]) -> Vec<u64> {
         row.iter().map(|v| v.to_bits()).collect()
     }
@@ -1046,8 +1040,7 @@ mod tests {
             let (ts, v) = point(k);
             assert_eq!(fresh.observe(ts, v), None);
         }
-        let forest = RandomForest::from_bytes(&opp.forest().unwrap().to_bytes()).unwrap();
-        fresh.restore_trained_state(Some(forest), opp.predicted_cthld(), 1);
+        fresh.restore_trained_state(stored_model(&opp), opp.predicted_cthld(), 1);
         for k in 60..90 {
             let (ts, v) = point(k);
             assert_eq!(opp.observe(ts, v), fresh.observe(ts, v));
@@ -1066,8 +1059,7 @@ mod tests {
         opp.ingest_history(&series, &labels).unwrap();
         assert!(opp.retrain());
         let mut restored = Opprentice::new(INTERVAL, small_config());
-        let forest = RandomForest::from_bytes(&opp.forest().unwrap().to_bytes()).unwrap();
-        restored.restore_trained_state(Some(forest), opp.predicted_cthld(), 1);
+        restored.restore_trained_state(stored_model(&opp), opp.predicted_cthld(), 1);
         restored.ingest_history(&series, &labels).unwrap();
         let t0 = series.timestamp_at(series.len() - 1) + i64::from(INTERVAL);
         for k in 0..24 {
@@ -1091,9 +1083,7 @@ mod tests {
         // plus the restored trained state must score identically.
         let mut fresh = Opprentice::new(INTERVAL, small_config());
         fresh.ingest_history(&series, &labels).unwrap();
-        let bytes = opp.forest().unwrap().to_bytes();
-        let forest = RandomForest::from_bytes(&bytes).unwrap();
-        fresh.restore_trained_state(Some(forest), prediction, opp.model_version());
+        fresh.restore_trained_state(stored_model(&opp), prediction, opp.model_version());
         assert!(fresh.is_trained());
         assert_eq!(fresh.model_version(), opp.model_version());
 

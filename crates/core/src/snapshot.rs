@@ -1,15 +1,15 @@
-//! Durable snapshots of a full [`Opprentice`] session (OPRF v4).
+//! Durable snapshots of a full [`Opprentice`] session (OPRF v5).
 //!
-//! The learn crate's OPRF format persists only the trained trees; a
-//! crash-safe serving layer needs the *whole* trained state: the forest,
+//! The learn crate's OPRF model file persists only the serving model; a
+//! crash-safe serving layer needs the *whole* trained state: the model,
 //! the EWMA cThld prediction, the accumulated operator labels, the model
 //! version, and the configuration the session was created with. This
-//! module defines version 4 of the `OPRF` container capturing exactly
+//! module defines version 5 of the `OPRF` container capturing exactly
 //! that, plus the write-ahead log sequence number the snapshot corresponds
 //! to:
 //!
 //! ```text
-//! magic "OPRF" | version u16 = 4
+//! magic "OPRF" | version u16 = 5
 //! interval u32
 //! recall f64 | precision f64 | cthld_alpha f64 | fallback_cthld f64
 //! n_trees u32 | sample_fraction f64 | seed u64
@@ -17,18 +17,20 @@
 //! prediction u8 | [f64]
 //! n_observed u64 | wal_seq u64 | model_version u64
 //! n_labels u64 | ceil(n_labels/8) bytes, LSB-first
-//! forest u8 | [len u32 | OPRF forest bytes]
+//! model u8 | [len u32 | OPRF v6 model bytes]
 //! ```
 //!
-//! (Session containers were v2 before `model_version` existed; v3 is
-//! skipped because the learn crate's forest container already uses it, and
-//! distinct numbers keep the two formats mutually rejecting.)
+//! The model block is the learn crate's model file
+//! (`opprentice_learn::persist`), without the forest params the config
+//! block holds. Containers were v2 before `model_version` existed and v4
+//! while they carried the training-time forest; older versions are refused
+//! (v3 and v6 are the learn crate's formats).
 //!
 //! All integers little-endian. Decoding validates the magic, version, every
 //! length against the bytes actually present (so hostile counts cannot
-//! drive huge allocations), and rejects trailing bytes. The forest decoder
-//! in `opprentice-learn` (currently OPRF v3) naturally rejects v4
-//! containers via its version check, and vice versa.
+//! drive huge allocations), and rejects trailing bytes. The model is
+//! decoded once, here, against the width of the interval's feature rows,
+//! so a snapshot that decodes holds a model that can serve.
 //!
 //! Deliberately *not* captured: the raw point log and the detectors'
 //! sliding-window state. Those are rebuilt by replaying the session's
@@ -37,15 +39,15 @@
 //! crashed.
 
 use crate::cthld::Preference;
-use crate::error::PipelineError;
 use crate::{Opprentice, OpprenticeConfig};
 use bytes::{Buf, BufMut};
+use opprentice_detectors::registry;
 use opprentice_learn::persist::{decode_params, encode_params, PersistError};
-use opprentice_learn::{RandomForest, RandomForestParams};
-use opprentice_timeseries::Labels;
+use opprentice_learn::{CompiledForest, RandomForestParams};
+use opprentice_timeseries::{is_supported_interval, Labels};
 
 const MAGIC: &[u8; 4] = b"OPRF";
-const VERSION: u16 = 4;
+const VERSION: u16 = 5;
 
 /// Errors produced when decoding or installing a session snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,14 +56,14 @@ pub enum SnapshotError {
     Truncated,
     /// The magic bytes did not match.
     BadMagic,
-    /// The container version is not 4.
+    /// The container version is not 5.
     UnsupportedVersion(u16),
     /// Bytes remained after the last field.
     TrailingBytes(usize),
     /// A field held a value outside its legal domain.
     BadField(&'static str),
-    /// The nested OPRF forest failed to decode.
-    Forest(PersistError),
+    /// The nested model failed to decode.
+    Model(PersistError),
     /// The snapshot disagrees with the session state it was installed into
     /// (the replayed WAL prefix diverged from what was snapshotted).
     StateMismatch(&'static str),
@@ -75,7 +77,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotError::TrailingBytes(n) => write!(f, "{n} trailing bytes after snapshot"),
             SnapshotError::BadField(name) => write!(f, "snapshot field `{name}` out of domain"),
-            SnapshotError::Forest(e) => write!(f, "nested forest: {e}"),
+            SnapshotError::Model(e) => write!(f, "nested model: {e}"),
             SnapshotError::StateMismatch(what) => {
                 write!(f, "snapshot does not match replayed session state: {what}")
             }
@@ -84,12 +86,6 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-impl From<PersistError> for SnapshotError {
-    fn from(e: PersistError) -> Self {
-        SnapshotError::Forest(e)
-    }
-}
 
 /// A decoded (or captured) full-session snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,8 +110,8 @@ pub struct SessionSnapshot {
     pub model_version: u64,
     /// Operator labels at snapshot time.
     pub labels: Labels,
-    /// The trained forest, as OPRF forest bytes (`None` if untrained).
-    pub forest: Option<Vec<u8>>,
+    /// The serving model (`None` if untrained).
+    pub model: Option<CompiledForest>,
 }
 
 impl SessionSnapshot {
@@ -133,7 +129,7 @@ impl SessionSnapshot {
             wal_seq,
             model_version: opp.model_version(),
             labels: opp.labels().clone(),
-            forest: opp.forest().map(RandomForest::to_bytes),
+            model: opp.compiled_forest().cloned(),
         }
     }
 
@@ -147,7 +143,7 @@ impl SessionSnapshot {
         }
     }
 
-    /// Serializes to the OPRF v4 container.
+    /// Serializes to the OPRF v5 container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -177,20 +173,23 @@ impl SessionSnapshot {
             }
             out.put_u8(byte);
         }
-        match &self.forest {
-            Some(bytes) => {
+        match &self.model {
+            Some(model) => {
+                let bytes = model.to_bytes();
                 out.put_u8(1);
                 out.put_u32_le(bytes.len() as u32);
-                out.extend_from_slice(bytes);
+                out.extend_from_slice(&bytes);
             }
             None => out.put_u8(0),
         }
         out
     }
 
-    /// Decodes an OPRF v4 container. Never panics on hostile input: every
+    /// Decodes an OPRF v5 container. Never panics on hostile input: every
     /// count is validated against the bytes actually present before any
-    /// allocation, and trailing bytes are rejected.
+    /// allocation, and trailing bytes are rejected. The model is checked
+    /// against the width of the interval's feature rows
+    /// (`registry(interval).len()`).
     pub fn from_bytes(mut buf: &[u8]) -> Result<SessionSnapshot, SnapshotError> {
         if buf.remaining() < 4 + 2 {
             return Err(SnapshotError::Truncated);
@@ -209,7 +208,7 @@ impl SessionSnapshot {
             return Err(SnapshotError::Truncated);
         }
         let interval = buf.get_u32_le();
-        if interval == 0 {
+        if !is_supported_interval(interval) {
             return Err(SnapshotError::BadField("interval"));
         }
         let recall = buf.get_f64_le();
@@ -229,7 +228,7 @@ impl SessionSnapshot {
         let forest_params = decode_params(&mut buf).map_err(|e| match e {
             PersistError::Truncated => SnapshotError::Truncated,
             PersistError::BadParam(name) => SnapshotError::BadField(name),
-            other => SnapshotError::Forest(other),
+            other => SnapshotError::Model(other),
         })?;
 
         if buf.remaining() < 1 {
@@ -277,7 +276,7 @@ impl SessionSnapshot {
         if buf.remaining() < 1 {
             return Err(SnapshotError::Truncated);
         }
-        let forest = match buf.get_u8() {
+        let model = match buf.get_u8() {
             0 => None,
             1 => {
                 if buf.remaining() < 4 {
@@ -287,14 +286,12 @@ impl SessionSnapshot {
                 if len > buf.remaining() {
                     return Err(SnapshotError::Truncated);
                 }
-                let bytes = buf[..len].to_vec();
+                let model = CompiledForest::from_bytes(&buf[..len], registry(interval).len())
+                    .map_err(SnapshotError::Model)?;
                 buf.advance(len);
-                // Validate eagerly so a corrupt nested forest is caught at
-                // load time, not first use.
-                RandomForest::from_bytes(&bytes)?;
-                Some(bytes)
+                Some(model)
             }
-            _ => return Err(SnapshotError::BadField("forest flag")),
+            _ => return Err(SnapshotError::BadField("model flag")),
         };
 
         if buf.has_remaining() {
@@ -311,7 +308,7 @@ impl SessionSnapshot {
             wal_seq,
             model_version,
             labels,
-            forest,
+            model,
         })
     }
 
@@ -319,7 +316,8 @@ impl SessionSnapshot {
     /// the WAL prefix this snapshot covers. Verifies that the replayed
     /// observation/label state agrees with what was snapshotted — a
     /// mismatch means the WAL and snapshot are from different histories.
-    pub fn install_into(&self, opp: &mut Opprentice) -> Result<(), SnapshotError> {
+    /// The decoded model moves into the pipeline as it is.
+    pub fn install_into(self, opp: &mut Opprentice) -> Result<(), SnapshotError> {
         if opp.interval() != self.interval {
             return Err(SnapshotError::StateMismatch("interval"));
         }
@@ -329,45 +327,8 @@ impl SessionSnapshot {
         if opp.labels() != &self.labels {
             return Err(SnapshotError::StateMismatch("operator labels"));
         }
-        let forest = match &self.forest {
-            Some(bytes) => Some(RandomForest::from_bytes(bytes)?),
-            None => None,
-        };
-        opp.restore_trained_state(forest, self.prediction, self.model_version);
+        opp.restore_trained_state(self.model, self.prediction, self.model_version);
         Ok(())
-    }
-}
-
-/// Pipeline-level recovery errors: everything that can go wrong rebuilding
-/// a session from its WAL + snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecoveryError {
-    /// A WAL line failed to re-apply.
-    Pipeline(PipelineError),
-    /// The snapshot failed to decode or install.
-    Snapshot(SnapshotError),
-}
-
-impl std::fmt::Display for RecoveryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecoveryError::Pipeline(e) => write!(f, "replaying WAL: {e}"),
-            RecoveryError::Snapshot(e) => write!(f, "loading snapshot: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RecoveryError {}
-
-impl From<PipelineError> for RecoveryError {
-    fn from(e: PipelineError) -> Self {
-        RecoveryError::Pipeline(e)
-    }
-}
-
-impl From<SnapshotError> for RecoveryError {
-    fn from(e: SnapshotError) -> Self {
-        RecoveryError::Snapshot(e)
     }
 }
 
@@ -443,7 +404,7 @@ mod tests {
         opp.restore_trained_state(None, Some(0.25), 3);
         let expected: Vec<u8> = [
             &b"OPRF"[..],
-            &4u16.to_le_bytes(),
+            &5u16.to_le_bytes(),
             &INTERVAL.to_le_bytes(),
             &0.75f64.to_le_bytes(),
             &0.5f64.to_le_bytes(),
@@ -496,7 +457,7 @@ mod tests {
     fn untrained_pipeline_round_trips_too() {
         let opp = Opprentice::new(INTERVAL, OpprenticeConfig::default());
         let snap = SessionSnapshot::capture(&opp, 0);
-        assert!(snap.forest.is_none());
+        assert!(snap.model.is_none());
         assert!(snap.prediction.is_none());
         let back = SessionSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(back, snap);
@@ -535,7 +496,7 @@ mod tests {
         let snap = SessionSnapshot::capture(&opp, 0);
         let mut other = Opprentice::new(INTERVAL, snap.config());
         assert_eq!(
-            snap.install_into(&mut other),
+            snap.clone().install_into(&mut other),
             Err(SnapshotError::StateMismatch("observed point count"))
         );
         let mut wrong_interval = Opprentice::new(60, snap.config());
@@ -546,15 +507,96 @@ mod tests {
     }
 
     #[test]
-    fn forest_bytes_are_rejected_as_session_snapshots() {
-        // Forest files (OPRF v3) and session containers (OPRF v4) share
+    fn model_files_and_v4_snapshots_are_rejected() {
+        // Model files (OPRF v6) and session containers (OPRF v5) share
         // the magic; the version field keeps them mutually rejecting.
         let opp = trained_pipeline();
-        let forest_bytes = opp.forest().unwrap().to_bytes();
+        let model_bytes = opp.compiled_forest().unwrap().to_bytes();
         assert_eq!(
-            SessionSnapshot::from_bytes(&forest_bytes),
-            Err(SnapshotError::UnsupportedVersion(3))
+            SessionSnapshot::from_bytes(&model_bytes),
+            Err(SnapshotError::UnsupportedVersion(6))
         );
+        // A v4 container carried the training-time forest; it has no reader.
+        let mut v4 = SessionSnapshot::capture(&opp, 0).to_bytes();
+        v4[4..6].copy_from_slice(&4u16.to_le_bytes());
+        assert_eq!(
+            SessionSnapshot::from_bytes(&v4),
+            Err(SnapshotError::UnsupportedVersion(4))
+        );
+    }
+
+    /// The bytes of an untrained 1-minute session whose model block is
+    /// replaced by a one-tree model of `nodes` (`(feature, value)` pairs).
+    fn snapshot_with_model(nodes: &[(u32, f64)]) -> Vec<u8> {
+        let opp = Opprentice::new(60, OpprenticeConfig::default());
+        let mut bytes = SessionSnapshot::capture(&opp, 0).to_bytes();
+        assert_eq!(bytes.pop(), Some(0), "untrained: no model block");
+        let mut model = b"OPRF".to_vec();
+        model.put_u16_le(6);
+        model.put_u32_le(1);
+        model.put_u32_le(nodes.len() as u32);
+        for &(feature, value) in nodes {
+            model.put_u32_le(feature);
+            model.put_f64_le(value);
+        }
+        bytes.put_u8(1);
+        bytes.put_u32_le(model.len() as u32);
+        bytes.extend_from_slice(&model);
+        bytes
+    }
+
+    /// A model that could not serve is refused at decode: a tree whose
+    /// root would be its own child (the tree-walk compile of such a file
+    /// allocated without bound), a split whose children run past its
+    /// tree, and a split on a feature past the 133 a 1-minute row holds
+    /// (which indexed out of bounds on the first served row).
+    #[test]
+    fn models_that_cannot_serve_are_refused() {
+        const LEAF: u32 = u32::MAX;
+        let decode =
+            |nodes: &[(u32, f64)]| SessionSnapshot::from_bytes(&snapshot_with_model(nodes));
+        for nodes in [
+            &[(LEAF, 1.0), (0, 0.5), (LEAF, 0.0)][..],
+            &[(0, 0.5)],
+            &[(0, 0.5), (LEAF, 1.0)],
+        ] {
+            assert_eq!(
+                decode(nodes),
+                Err(SnapshotError::Model(PersistError::BadModel(
+                    "tree splits do not close"
+                ))),
+                "{nodes:?}"
+            );
+        }
+        let split_on = |feature| [(feature, 0.5), (LEAF, 0.0), (LEAF, 1.0)];
+        let width = registry(60).len() as u32;
+        assert_eq!(width, 133);
+        for feature in [width, 1_000_000] {
+            assert_eq!(
+                decode(&split_on(feature)),
+                Err(SnapshotError::Model(PersistError::BadModel(
+                    "split feature past the row width"
+                ))),
+                "{feature}"
+            );
+        }
+        let served = decode(&split_on(width - 1)).unwrap().model.unwrap();
+        assert_eq!(served.predict(&[1.0; 133]), 1.0);
+    }
+
+    /// Intervals no session can have are refused before the row width is
+    /// looked up for them.
+    #[test]
+    fn unsupported_intervals_are_rejected() {
+        let mut bytes = snapshot_with_model(&[(u32::MAX, 0.5)]);
+        for interval in [0u32, 7, 86_400] {
+            bytes[6..10].copy_from_slice(&interval.to_le_bytes());
+            assert_eq!(
+                SessionSnapshot::from_bytes(&bytes),
+                Err(SnapshotError::BadField("interval")),
+                "{interval}"
+            );
+        }
     }
 
     #[test]

@@ -163,7 +163,7 @@ proptest! {
         mut bytes in prop::collection::vec(any::<u8>(), 6..800),
     ) {
         bytes[..4].copy_from_slice(b"OPRF");
-        bytes[4..6].copy_from_slice(&4u16.to_le_bytes());
+        bytes[4..6].copy_from_slice(&5u16.to_le_bytes());
         let _ = opprentice::SessionSnapshot::from_bytes(&bytes);
     }
 }

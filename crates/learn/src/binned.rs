@@ -68,7 +68,7 @@ impl<'a> TrainingSet<'a> {
     /// # Panics
     ///
     /// Panics if `data` has more than `2^31` rows: a row index must leave
-    /// bit 31 free for [`TIE`].
+    /// bit 31 free for the tie mark.
     pub fn new(data: &'a Dataset) -> Self {
         assert!(data.len() <= TIE as usize, "too many rows");
         Self {

@@ -25,61 +25,46 @@
 //! lines. Predictions are bit-identical to the tree-walk path: the same
 //! `x < threshold` comparison picks the same child, the same leaf
 //! probabilities accumulate in the same tree order, and the same division
-//! produces the same `f64`.
+//! produces the same `f64`. The arena is also the stored model
+//! ([`crate::persist`]).
 
 use crate::forest::RandomForest;
 use crate::tree::Node;
 
 /// Sentinel in [`PackedNode::feature`] marking a leaf slot.
-const LEAF: u32 = u32::MAX;
+pub(crate) const LEAF: u32 = u32::MAX;
 
 /// One flattened node: 16 bytes, so a 64-byte cache line holds four.
 /// Equality compares thresholds as `f64` values (always finite here) — used
 /// by the differential suite to prove two compiled arenas identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct PackedNode {
+pub(crate) struct PackedNode {
     /// Split feature index; `LEAF` marks leaves.
-    feature: u32,
+    pub(crate) feature: u32,
     /// Arena index of the `< threshold` child; the `>=` child is
     /// `first_child + 1`. Unused (0) for leaves.
-    first_child: u32,
+    pub(crate) first_child: u32,
     /// Split threshold; leaf probability for leaf slots.
-    threshold: f64,
+    pub(crate) threshold: f64,
 }
 
 /// A trained [`RandomForest`] flattened for fast inference.
 ///
-/// Build one with [`RandomForest::compile`]; it borrows nothing and can be
-/// sent to another thread. Compiling is cheap (one pass over the nodes) and
-/// done once per retrain, not per prediction.
+/// Build one with [`RandomForest::compile`], or decode a stored one with
+/// [`CompiledForest::from_bytes`]; it borrows nothing and can be sent to
+/// another thread. Compiling is cheap (one pass over the nodes) and done
+/// once per retrain, not per prediction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledForest {
-    /// All trees' nodes, each tree laid out breadth-first.
-    nodes: Vec<PackedNode>,
+    /// All trees' nodes, each tree breadth-first in its own contiguous
+    /// run: the `k`-th split of a tree rooted at `r` has its children at
+    /// `r + 1 + 2k`.
+    pub(crate) nodes: Vec<PackedNode>,
     /// Root slot of each tree, in training order.
-    roots: Vec<u32>,
+    pub(crate) roots: Vec<u32>,
 }
 
 impl CompiledForest {
-    /// Flattens the trees of a fitted forest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the forest has no trees.
-    pub(crate) fn from_forest(forest: &RandomForest) -> CompiledForest {
-        assert!(forest.tree_count() > 0, "forest not fitted");
-        let total: usize = forest.trees().iter().map(|t| t.node_count()).sum();
-        let mut compiled = CompiledForest {
-            nodes: Vec::with_capacity(total),
-            roots: Vec::with_capacity(forest.tree_count()),
-        };
-        for tree in forest.trees() {
-            let root = compiled.compile_tree(tree.nodes());
-            compiled.roots.push(root);
-        }
-        compiled
-    }
-
     /// Lays out one tree breadth-first so each split's children occupy
     /// adjacent slots. Returns the root's arena index.
     fn compile_tree(&mut self, nodes: &[Node]) -> u32 {
@@ -140,6 +125,12 @@ impl CompiledForest {
         self.nodes.len()
     }
 
+    /// Heap bytes the model holds: 16 per node, 4 per tree.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<PackedNode>()
+            + self.roots.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Walks one tree to its leaf probability.
     // The negated comparison is deliberate: it is the exact complement the
     // tree-walk branch takes, including for NaN (see below).
@@ -190,7 +181,17 @@ impl RandomForest {
     ///
     /// Panics if the forest has not been fitted.
     pub fn compile(&self) -> CompiledForest {
-        CompiledForest::from_forest(self)
+        assert!(self.tree_count() > 0, "forest not fitted");
+        let total: usize = self.trees().iter().map(|t| t.node_count()).sum();
+        let mut compiled = CompiledForest {
+            nodes: Vec::with_capacity(total),
+            roots: Vec::with_capacity(self.tree_count()),
+        };
+        for tree in self.trees() {
+            let root = compiled.compile_tree(tree.nodes());
+            compiled.roots.push(root);
+        }
+        compiled
     }
 }
 

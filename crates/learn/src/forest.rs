@@ -58,7 +58,7 @@ impl RandomForestParams {
     /// positive `sample_fraction`, and `n_bins` (when set) in
     /// `2..=MAX_BINS`. The error names the first unusable field.
     ///
-    /// Persistence refuses params that fail this, and so does
+    /// Snapshot decoding refuses params that fail this, and so does
     /// `Opprentice::start_retrain`, before any job starts.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.n_trees == 0 {
@@ -142,13 +142,6 @@ impl RandomForest {
     /// The hyperparameters this forest was created with.
     pub fn params(&self) -> &RandomForestParams {
         &self.params
-    }
-
-    /// Assembles a forest from already-built trees and the hyperparameters
-    /// they were trained with (persistence restore). Keeping the real
-    /// params means a restored forest refits exactly like the original.
-    pub(crate) fn from_trees(params: RandomForestParams, trees: Vec<DecisionTree>) -> Self {
-        Self { params, trees }
     }
 
     /// Trains the forest on `data` with an explicit worker-thread count

@@ -3,12 +3,22 @@
 use opprentice_learn::feature_select::mutual_information;
 use opprentice_learn::metrics::{auc_pr, auc_pr_of, f_score, pr_curve};
 use opprentice_learn::tree::{DecisionTree, TreeParams};
-use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams};
+use opprentice_learn::{Classifier, CompiledForest, Dataset, RandomForest, RandomForestParams};
 use proptest::prelude::*;
 
 fn scored_labels() -> impl Strategy<Value = Vec<(f64, bool)>> {
     prop::collection::vec((0.0f64..1.0, any::<bool>()), 2..200)
         .prop_filter("needs a positive", |v| v.iter().any(|(_, l)| *l))
+}
+
+/// Decodes `bytes` as a model for rows of `n_features` values and, when
+/// that succeeds, predicts on the first `n_features` values of `row`.
+fn assert_serves(bytes: &[u8], n_features: usize, row: &[f64]) -> Result<(), TestCaseError> {
+    if let Ok(model) = CompiledForest::from_bytes(bytes, n_features) {
+        let p = model.predict(&row[..n_features]);
+        prop_assert!((0.0..=1.0).contains(&p), "p = {}", p);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -103,28 +113,93 @@ proptest! {
         f.fit(&d);
         let p = f.predict_proba(&probe);
         prop_assert!((0.0..=1.0).contains(&p));
-        // Persistence round-trip agrees everywhere we probe.
-        let restored = RandomForest::from_bytes(&f.to_bytes()).unwrap();
-        prop_assert_eq!(restored.predict_proba(&probe), p);
     }
 
-    /// The model decoder is total: arbitrary bytes never panic, they
-    /// either decode or return an error. This is the load-bearing property
-    /// for reading model files off disk after a crash.
+    /// The model decoder is total and its output serves: arbitrary bytes
+    /// either fail to decode or decode to a model that predicts a
+    /// probability on any row of `n_features` values without panicking.
+    /// This is the load-bearing property for reading model files off disk
+    /// after a crash.
     #[test]
-    fn forest_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
-        let _ = RandomForest::from_bytes(&bytes);
+    fn model_decoder_never_yields_an_unservable_model(
+        bytes in prop::collection::vec(any::<u8>(), 0..600),
+        n_features in 0usize..8,
+        row in prop::collection::vec(any::<u64>().prop_map(f64::from_bits), 8),
+    ) {
+        assert_serves(&bytes, n_features, &row)?;
     }
 
-    /// Same, with a valid magic + version prefix so the fuzz bytes reach
-    /// the params/count/node decoding paths instead of dying at the header.
+    /// Same, past a valid header (magic, version, a small tree count) so
+    /// the fuzz bytes reach the node decoding instead of dying there.
     #[test]
-    fn forest_decoder_never_panics_past_header(
-        mut bytes in prop::collection::vec(any::<u8>(), 6..600),
+    fn model_decoder_never_yields_an_unservable_model_past_header(
+        mut bytes in prop::collection::vec(any::<u8>(), 10..600),
+        n_trees in 1u32..4,
+        n_features in 0usize..8,
+        row in prop::collection::vec(any::<u64>().prop_map(f64::from_bits), 8),
     ) {
         bytes[..4].copy_from_slice(b"OPRF");
-        bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
-        let _ = RandomForest::from_bytes(&bytes);
+        bytes[4..6].copy_from_slice(&6u16.to_le_bytes());
+        bytes[6..10].copy_from_slice(&n_trees.to_le_bytes());
+        assert_serves(&bytes, n_features, &row)?;
+    }
+
+    /// Same, over nodes that are mostly well-formed: small node counts,
+    /// features near the row width, leaves among splits, values near
+    /// `[0, 1]`, so decoding gets past its first node and reaches the
+    /// closure, width and leaf checks.
+    #[test]
+    fn model_decoder_never_yields_an_unservable_model_from_near_valid_nodes(
+        trees in prop::collection::vec(
+            (0u32..8, prop::collection::vec(
+                ((0u32..8).prop_map(|f| if f >= 6 { u32::MAX } else { f }), -0.5f64..1.5),
+                0..8)),
+            1..4),
+        n_features in 0usize..6,
+        row in prop::collection::vec(any::<u64>().prop_map(f64::from_bits), 8),
+    ) {
+        let mut bytes = b"OPRF".to_vec();
+        bytes.extend_from_slice(&6u16.to_le_bytes());
+        bytes.extend_from_slice(&(trees.len() as u32).to_le_bytes());
+        for (n_nodes, nodes) in &trees {
+            bytes.extend_from_slice(&n_nodes.to_le_bytes());
+            for (feature, value) in nodes {
+                bytes.extend_from_slice(&feature.to_le_bytes());
+                bytes.extend_from_slice(&value.to_le_bytes());
+            }
+        }
+        assert_serves(&bytes, n_features, &row)?;
+    }
+
+    /// Round trip: a compiled forest, binned or exact-split, decodes to
+    /// the same arena and predicts the bits of the tree walk.
+    #[test]
+    fn model_codec_round_trips(
+        rows in prop::collection::vec(
+            (0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0), 20..80),
+        probes in prop::collection::vec(
+            prop::collection::vec(-50.0f64..50.0, 3..=3), 1..20),
+        n_trees in 1usize..10,
+        seed in any::<u64>(),
+        exact in any::<bool>(),
+    ) {
+        let mut d = Dataset::new(3);
+        for (a, b, c) in &rows {
+            d.push(&[*a, *b, *c], a + b > 10.0);
+        }
+        let mut f = RandomForest::new(RandomForestParams {
+            n_trees,
+            seed,
+            n_bins: if exact { None } else { Some(16) },
+            ..Default::default()
+        });
+        f.fit(&d);
+        let compiled = f.compile();
+        let restored = CompiledForest::from_bytes(&compiled.to_bytes(), 3).unwrap();
+        prop_assert_eq!(&restored, &compiled);
+        for p in &probes {
+            prop_assert_eq!(restored.predict(p).to_bits(), f.predict_proba(p).to_bits());
+        }
     }
 
     /// The serving-path differential guarantee: a compiled forest produces
@@ -161,11 +236,6 @@ proptest! {
         let batch = compiled.predict_batch(&probes);
         for (p, got) in probes.iter().zip(&batch) {
             prop_assert_eq!(f.predict_proba(p).to_bits(), got.to_bits());
-        }
-        // The round trip through persistence compiles identically too.
-        let restored = RandomForest::from_bytes(&f.to_bytes()).unwrap().compile();
-        for p in &probes {
-            prop_assert_eq!(restored.predict(p).to_bits(), compiled.predict(p).to_bits());
         }
     }
 

@@ -51,8 +51,8 @@
 //!
 //! - **Durability.** Durable sessions append every acknowledged command to
 //!   a per-session write-ahead log *before* the `OK` goes out, and
-//!   periodically snapshot the trained state (forest, threshold predictor,
-//!   labels) atomically. `RESUME` replays the log around the latest
+//!   periodically snapshot the trained state (compiled model, threshold
+//!   predictor, labels) atomically. `RESUME` replays the log around the latest
 //!   snapshot; because training is deterministically seeded, a resumed
 //!   session produces byte-identical verdicts to one that never crashed.
 //! - **Timeouts.** A line must complete within a deadline once its first

@@ -1413,6 +1413,80 @@ mod tests {
         join.join().unwrap();
     }
 
+    /// `RESUME` over a snapshot whose model could not serve answers `ERR`
+    /// and the server goes on serving. The two models are the defects a
+    /// tree-walk forest file could express: a split on a feature past the
+    /// 133 a 1-minute row holds (it indexed out of bounds on the first
+    /// served row), and a split that is its own child (compiling it
+    /// allocated without bound).
+    #[test]
+    fn resume_over_an_unservable_model_answers_err() {
+        let dir = std::env::temp_dir().join(format!(
+            "opprentice-service-test-{}-unservable",
+            std::process::id()
+        ));
+        let config = ServerConfig {
+            state_dir: Some(dir.clone()),
+            ..test_config()
+        };
+        let (handle, join) = start_server(config);
+        const LEAF: u32 = u32::MAX;
+        for (id, nodes) in [
+            ("bad-feature", [(133, 0.5), (LEAF, 0.0), (LEAF, 1.0)]),
+            ("self-child", [(LEAF, 1.0), (0, 0.5), (LEAF, 0.0)]),
+        ] {
+            let mut c = Client::connect(handle.addr());
+            assert!(c.send(&format!("HELLO 60 {id}")).starts_with("OK"));
+            assert!(c.send("OBS 0 1.0").starts_with("OK"));
+            c.send("QUIT");
+            assert_eq!(c.read_line(), "", "closed after the final snapshot");
+
+            // The untrained snapshot ends in an empty model block: put a
+            // one-tree model of `nodes` there.
+            let path = dir.join(id).join("snapshot.oprf");
+            let mut bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes.pop(), Some(0));
+            let mut model = b"OPRF".to_vec();
+            model.extend_from_slice(&6u16.to_le_bytes());
+            model.extend_from_slice(&1u32.to_le_bytes());
+            model.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
+            for (feature, value) in nodes {
+                model.extend_from_slice(&feature.to_le_bytes());
+                model.extend_from_slice(&f64::to_le_bytes(value));
+            }
+            bytes.push(1);
+            bytes.extend_from_slice(&(model.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&model);
+            std::fs::write(&path, bytes).unwrap();
+
+            // The closed connection may hold its lease for a moment.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let (mut c, reply) = loop {
+                let mut c = Client::connect(handle.addr());
+                let reply = c.send(&format!("RESUME {id}"));
+                if !reply.contains("busy") || Instant::now() >= deadline {
+                    break (c, reply);
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            };
+            assert!(
+                reply.starts_with("ERR corrupt snapshot: nested model"),
+                "{id}: {reply}"
+            );
+            // The connection, and the server, keep serving.
+            assert!(c.send("HELLO 60").starts_with("OK"));
+            assert!(c.send("OBS 0 1.0").starts_with("OK"));
+            c.send("QUIT");
+        }
+        let mut c = Client::connect(handle.addr());
+        assert!(c.send("HELLO 60 after").starts_with("OK"));
+        assert!(c.send("OBS 0 1.0").starts_with("OK"));
+        c.send("QUIT");
+        handle.shutdown();
+        join.join().unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     #[test]
     fn resume_without_state_dir_is_a_clean_error() {
         let (handle, join) = start_server(test_config());

@@ -5,7 +5,7 @@
 //! ```text
 //! <state_dir>/<session_id>/
 //!     wal.log          append-only; one applied command per line
-//!     snapshot.oprf    latest full-state snapshot (OPRF v4)
+//!     snapshot.oprf    latest full-state snapshot (OPRF v5)
 //!     snapshot.tmp     in-flight snapshot (renamed into place when synced)
 //! ```
 //!
@@ -24,7 +24,7 @@
 //!
 //! **Snapshots.** Replaying `OBS` lines is cheap (feature extraction);
 //! replaying `RETRAIN` lines is the expensive part. A snapshot therefore
-//! captures the trained state (forest + EWMA prediction + labels) plus the
+//! captures the trained state (compiled model + EWMA prediction + labels) plus the
 //! WAL sequence number it corresponds to. Snapshots are written to a temp
 //! file, fsynced, and atomically renamed — a crash mid-snapshot leaves the
 //! previous snapshot intact.
@@ -167,11 +167,11 @@ impl SessionStore {
 
         let (n_trees, lines) = read_wal(&dir.join(WAL_FILE))?;
         let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
-        let session = recover(n_trees, &lines, snapshot.as_ref())?;
+        let last_snapshot_seq = snapshot.as_ref().map_or(0, |s| s.wal_seq);
+        let session = recover(n_trees, &lines, snapshot)?;
 
         let wal = BufWriter::new(OpenOptions::new().append(true).open(dir.join(WAL_FILE))?);
         let wal_seq = lines.len() as u64;
-        let last_snapshot_seq = snapshot.as_ref().map_or(0, |s| s.wal_seq);
         Ok((
             DurableSession {
                 dir,
@@ -322,9 +322,9 @@ fn read_snapshot(path: &Path) -> Result<Option<SessionSnapshot>, StoreError> {
 fn recover(
     n_trees: usize,
     lines: &[String],
-    snapshot: Option<&SessionSnapshot>,
+    snapshot: Option<SessionSnapshot>,
 ) -> Result<Session, StoreError> {
-    let covered = match snapshot {
+    let covered = match &snapshot {
         Some(s) => {
             if s.wal_seq > lines.len() as u64 {
                 return Err(StoreError::CorruptSnapshot(SnapshotError::StateMismatch(

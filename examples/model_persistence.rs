@@ -1,12 +1,13 @@
 //! Operational concern: surviving a restart. A deployed Opprentice retrains
 //! weekly, but the process should not lose its classifier between restarts.
-//! This example trains a forest, saves it to the compact binary format,
-//! reloads it, and verifies the restored model scores identically.
+//! This example trains a forest, compiles it into the serving model, saves
+//! that to the compact binary format, reloads it, and verifies the restored
+//! model scores identically to the trained forest.
 //!
 //! Run: `cargo run --release --example model_persistence`
 
 use opprentice_repro::datagen::{presets, SimulatedOperator};
-use opprentice_repro::learn::{Classifier, RandomForest, RandomForestParams};
+use opprentice_repro::learn::{Classifier, CompiledForest, RandomForest, RandomForestParams};
 use opprentice_repro::opprentice::extract_features;
 
 fn main() {
@@ -23,8 +24,8 @@ fn main() {
     });
     forest.fit(&train);
 
-    // Save.
-    let bytes = forest.to_bytes();
+    // Save the serving model; the training-time forest is not stored.
+    let bytes = forest.compile().to_bytes();
     let path = std::env::temp_dir().join("opprentice_model.bin");
     std::fs::write(&path, &bytes).expect("write model");
     println!(
@@ -34,17 +35,22 @@ fn main() {
         path.display()
     );
 
-    // Restore (e.g. after a crash or deploy).
+    // Restore (e.g. after a crash or deploy), for rows of this width.
     let restored_bytes = std::fs::read(&path).expect("read model");
-    let restored = RandomForest::from_bytes(&restored_bytes).expect("valid model file");
-    println!("restored {} trees", restored.tree_count());
+    let restored =
+        CompiledForest::from_bytes(&restored_bytes, train.n_features()).expect("valid model file");
+    println!(
+        "restored {} trees, {} nodes",
+        restored.tree_count(),
+        restored.node_count()
+    );
 
     // Identical verdicts, point for point.
     let mut checked = 0usize;
     for i in (0..matrix.len()).step_by(7) {
         assert_eq!(
-            forest.score(matrix.row(i)),
-            restored.score(matrix.row(i)),
+            forest.score(matrix.row(i)).to_bits(),
+            restored.predict(matrix.row(i)).to_bits(),
             "row {i}"
         );
         checked += 1;

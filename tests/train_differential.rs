@@ -15,8 +15,8 @@
 //!   threshold, and leaf probability of every tree,
 //! - predictions are bit-for-bit equal (`f64::to_bits`) on probe data,
 //! - the compiled inference arenas are equal (`CompiledForest: PartialEq`),
-//! - a parallel-trained forest round-trips through persistence to the
-//!   same bytes,
+//! - a parallel-trained forest's compiled model round-trips through the
+//!   model codec to the same arena and bytes,
 //!
 //! across a grid of forest shapes (tree count, feature budget, binned and
 //! exact split search, dataset size) and explicit thread counts — *not*
@@ -29,7 +29,9 @@
 //! cThld and serve the same verdict bits as a reference that stores
 //! every streamed feature row (see "Re-extraction differential" below).
 
-use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams, TrainingSet};
+use opprentice_learn::{
+    Classifier, CompiledForest, Dataset, RandomForest, RandomForestParams, TrainingSet,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,18 +136,27 @@ fn auto_threaded_fit_matches_explicit_sequential() {
     }
 }
 
-/// A parallel-trained forest survives a persistence round-trip with its
-/// bytes — and therefore its predictions — unchanged.
+/// A parallel-trained forest's serving model survives a persistence
+/// round-trip with its arena and bytes unchanged, and predicts the bits
+/// of the forest's tree walk.
 #[test]
 fn parallel_trained_forest_round_trips_through_persistence() {
     let (params, rows) = grid().remove(1);
     let train = noisy_dataset(rows, 3, params.seed);
     let probes = noisy_dataset(64, 3, params.seed + 13);
     let trained = fit(&params, &train, 8);
-    let bytes = trained.to_bytes();
-    let restored = RandomForest::from_bytes(&bytes).expect("round-trip");
-    assert_same_forest(&trained, &restored, &probes, "persistence round-trip");
+    let compiled = trained.compile();
+    let bytes = compiled.to_bytes();
+    let restored = CompiledForest::from_bytes(&bytes, train.n_features()).expect("round-trip");
+    assert_eq!(restored, compiled, "persistence round-trip: arena");
     assert_eq!(restored.to_bytes(), bytes);
+    for i in 0..probes.len() {
+        assert_eq!(
+            restored.predict(probes.row(i)).to_bits(),
+            trained.predict_proba(probes.row(i)).to_bits(),
+            "persistence round-trip: prediction bits on probe row {i}"
+        );
+    }
 }
 
 /// Oversubscription far beyond the tree count (and the host's cores) is
@@ -177,7 +188,8 @@ fn more_threads_than_trees_is_equivalent() {
 // is extracted until the first model lands. The reference below is the
 // stored-row design it replaced — every point streamed once through its
 // own `OnlineExtractor` into a `FeatureMatrix`, training sets cut from the
-// stored rows. Forest bytes, cThld predictions and verdict bits must agree.
+// stored rows. Compiled arenas, cThld predictions and verdict bits must
+// agree.
 // ---------------------------------------------------------------------------
 
 use opprentice::cthld::best_cthld;
@@ -185,7 +197,6 @@ use opprentice::features::{FeatureMatrix, OnlineExtractor};
 use opprentice::predictor::{five_fold_cthld, EwmaCthldPredictor};
 use opprentice::{Detection, Opprentice, OpprenticeConfig};
 use opprentice_learn::metrics::pr_curve;
-use opprentice_learn::CompiledForest;
 use opprentice_timeseries::{Labels, TimeSeries};
 
 const HOUR: u32 = 3600;
@@ -226,7 +237,6 @@ struct Reference {
     extractor: OnlineExtractor,
     matrix: FeatureMatrix,
     truth: Vec<bool>,
-    forest: Option<RandomForest>,
     compiled: Option<CompiledForest>,
     predictor: EwmaCthldPredictor,
 }
@@ -248,7 +258,6 @@ impl Reference {
             extractor,
             matrix,
             truth: Vec::new(),
-            forest: None,
             compiled: None,
             predictor,
         }
@@ -321,7 +330,6 @@ impl Reference {
             }
         }
         self.compiled = Some(round.forest.compile());
-        self.forest = Some(round.forest);
     }
 
     fn retrain(&mut self) {
@@ -333,9 +341,9 @@ impl Reference {
 /// Both sides hold the same model and cThld prediction.
 fn assert_same_model(p: &Opprentice, r: &Reference, what: &str) {
     assert_eq!(
-        p.forest().map(RandomForest::to_bytes),
-        r.forest.as_ref().map(RandomForest::to_bytes),
-        "{what}: forest bytes"
+        p.compiled_forest(),
+        r.compiled.as_ref(),
+        "{what}: compiled arena"
     );
     assert_eq!(
         p.predicted_cthld().map(f64::to_bits),
@@ -419,6 +427,12 @@ fn onboarded() -> (Opprentice, Reference) {
     }
     r.truth = labels.flags().to_vec();
     (p, r)
+}
+
+/// A model after a trip through its stored bytes.
+fn stored(model: &CompiledForest) -> CompiledForest {
+    let width = OnlineExtractor::new(HOUR).n_features();
+    CompiledForest::from_bytes(&model.to_bytes(), width).expect("stored model decodes")
 }
 
 /// FNV-1a over the bits of every usable row.
@@ -533,9 +547,8 @@ fn restore_on_an_unextracted_session_replays_the_raw_log() {
         r.observe(ts(i), v);
     }
     assert_eq!(fresh.extract_us(), 0);
-    let forest = RandomForest::from_bytes(&trained.forest().unwrap().to_bytes()).unwrap();
     fresh.restore_trained_state(
-        Some(forest),
+        trained.compiled_forest().map(stored),
         trained.predicted_cthld(),
         trained.model_version(),
     );
@@ -570,16 +583,9 @@ fn retrain_without_usable_anomaly_matches_the_reference_harvest() {
         r.observe(ts(i), kpi_point(i).0);
     }
     r.truth = flags;
-    let bytes = donor.forest.as_ref().unwrap().to_bytes();
     let prediction = donor.predictor.predict();
-    p.restore_trained_state(
-        Some(RandomForest::from_bytes(&bytes).unwrap()),
-        prediction,
-        1,
-    );
-    let forest = RandomForest::from_bytes(&bytes).unwrap();
-    r.compiled = Some(forest.compile());
-    r.forest = Some(forest);
+    p.restore_trained_state(donor.compiled.as_ref().map(stored), prediction, 1);
+    r.compiled = donor.compiled.as_ref().map(stored);
     if let Some(c) = prediction {
         r.predictor.initialize(c);
     }
