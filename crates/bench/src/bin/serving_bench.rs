@@ -42,6 +42,11 @@
 //! size is reported too (`session_model`): one snapshot's bytes and the
 //! heap of its model.
 //!
+//! One durable session runs over TCP in a temporary state directory
+//! (`durable_session`): the bytes the process writes per point served
+//! after its model swap (`wchar` in `/proc/self/io`), and the `RESUME`
+//! wall time after a clean close and after a crash.
+//!
 //! Results land in `results/BENCH_serving.json`. Modes: `--tiny` (CI
 //! smoke, seconds), default (laptop-sized), `--full` (paper-sized forest
 //! everywhere).
@@ -92,6 +97,8 @@ struct Sizes {
     onboard_days: &'static [usize],
     /// Fresh pipelines timed over their first points after a model lands.
     landing_reps: usize,
+    /// Points the durable session serves after its swap.
+    durable_served: usize,
 }
 
 /// Parses `--<flag> <N>`: a committed throughput floor or memory ceiling.
@@ -130,6 +137,7 @@ impl Sizes {
                 sessions: 2,
                 onboard_days: &[3],
                 landing_reps: 3,
+                durable_served: 1440,
             }
         } else if full {
             Sizes {
@@ -146,6 +154,7 @@ impl Sizes {
                 sessions: 4,
                 onboard_days: &[3, 28],
                 landing_reps: 5,
+                durable_served: 7 * 1440,
             }
         } else {
             Sizes {
@@ -162,6 +171,7 @@ impl Sizes {
                 sessions: 4,
                 onboard_days: &[3],
                 landing_reps: 5,
+                durable_served: 7 * 1440,
             }
         }
     }
@@ -571,6 +581,181 @@ fn landing_windows(reps: usize, n_trees: usize) -> (Vec<(WindowCost, WindowCost)
     }
 }
 
+/// Days of labeled 1-minute pv history before the durable session's swap
+/// in [`durable_session`]: the benchmark workloads' history.
+const DURABLE_HISTORY_DAYS: usize = 3;
+
+/// Points per `OBSB` line the durable session is fed, as the pv agent
+/// sends them.
+const DURABLE_BATCH: usize = 30;
+
+/// Timed `RESUME`s per recovery case in [`durable_session`].
+const RESUME_REPS: usize = 3;
+
+/// What one durable session writes and how fast it resumes (see
+/// [`durable_session`]).
+struct DurableCost {
+    served_points: usize,
+    wchar_bytes: Option<u64>,
+    socket_bytes: u64,
+    socket_in_wchar: Option<bool>,
+    resume_clean_ms: f64,
+    resume_crash_ms: f64,
+}
+
+impl DurableCost {
+    /// Bytes the process wrote per served point, less the bench's own
+    /// socket traffic where `wchar` counts it.
+    fn bytes_per_point(&self) -> Option<f64> {
+        let socket = if self.socket_in_wchar? {
+            self.socket_bytes
+        } else {
+            0
+        };
+        let written = self.wchar_bytes?.saturating_sub(socket);
+        Some(written as f64 / self.served_points as f64)
+    }
+}
+
+/// Bytes this process has passed to write-like syscalls (`wchar` in
+/// `/proc/self/io`); `None` off Linux.
+fn wchar_bytes() -> Option<u64> {
+    let io = std::fs::read_to_string("/proc/self/io").ok()?;
+    io.lines()
+        .find_map(|l| l.strip_prefix("wchar:"))?
+        .trim()
+        .parse()
+        .ok()
+}
+
+/// Whether the bytes a `TcpStream` writes show in [`wchar_bytes`]. They
+/// do not where the stream writes with send(2), as std does on Linux.
+fn socket_writes_in_wchar() -> Option<bool> {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").ok()?;
+    let mut tx = std::net::TcpStream::connect(listener.local_addr().ok()?).ok()?;
+    let (mut rx, _) = listener.accept().ok()?;
+    let before = wchar_bytes()?;
+    tx.write_all(&[0; 4096]).ok()?;
+    let after = wchar_bytes()?;
+    std::io::Read::read_exact(&mut rx, &mut [0; 4096]).ok()?;
+    Some(after - before >= 4096)
+}
+
+/// One durable session over TCP in a temporary state directory:
+/// [`DURABLE_HISTORY_DAYS`] of 1-minute pv history, `LABEL`, `RETRAIN`,
+/// then `served_points` more in [`DURABLE_BATCH`]-point `OBSB` lines,
+/// counting the bytes the process writes while they are served. Then the
+/// median `RESUME` wall time after a clean close, and after a crash right
+/// after the last served line (a copy of the session's files as they
+/// stood then, which is what a killed server leaves).
+fn durable_session(n_trees: usize, served_points: usize) -> DurableCost {
+    let root =
+        std::env::temp_dir().join(format!("opprentice-serving-bench-{}", std::process::id()));
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        ServerConfig {
+            n_trees,
+            state_dir: Some(root.clone()),
+            ..Default::default()
+        },
+    )
+    .expect("bind");
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.serve().expect("serve"));
+
+    let history = DURABLE_HISTORY_DAYS * 1440;
+    let mut spec = opprentice_datagen::presets::pv();
+    spec.weeks = (history + served_points).div_ceil(7 * 1440);
+    let kpi = spec.generate();
+    // Sends points `range` in `OBSB` lines; returns the bytes moved.
+    let feed = |c: &mut Client, range: std::ops::Range<usize>| -> u64 {
+        let mut moved = 0;
+        for start in range.clone().step_by(DURABLE_BATCH) {
+            let end = (start + DURABLE_BATCH).min(range.end);
+            let values: Vec<String> = (start..end)
+                .map(|i| {
+                    kpi.series
+                        .get(i)
+                        .map_or("nan".to_string(), |v| v.to_string())
+                })
+                .collect();
+            let line = format!(
+                "OBSB {} {}",
+                kpi.series.timestamp_at(start),
+                values.join(" ")
+            );
+            let reply = c.send(&line).expect("obsb");
+            assert!(reply.starts_with("OK"), "{reply}");
+            moved += (line.len() + reply.len() + 2) as u64;
+        }
+        moved
+    };
+
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    assert!(c.send("HELLO 60 durable").unwrap().starts_with("OK"));
+    feed(&mut c, 0..history);
+    let flags: String = kpi.truth.flags()[..history]
+        .iter()
+        .map(|&a| if a { '1' } else { '0' })
+        .collect();
+    assert!(c.send(&format!("LABEL {flags}")).unwrap().starts_with("OK"));
+    assert!(c.send("RETRAIN").unwrap().starts_with("OK retraining"));
+    wait_trained(&mut c);
+
+    let socket_in_wchar = socket_writes_in_wchar();
+    let before = wchar_bytes();
+    let socket_bytes = feed(&mut c, history..history + served_points);
+    let wchar = wchar_bytes()
+        .zip(before)
+        .map(|(after, before)| after - before);
+    let dir = root.join("durable");
+    let crash_image: Vec<(&str, Vec<u8>)> = ["wal.log", "snapshot.oprf"]
+        .into_iter()
+        .map(|file| (file, std::fs::read(dir.join(file)).expect("session file")))
+        .collect();
+    assert_eq!(c.send("QUIT").unwrap(), "BYE");
+
+    // Times `RESUME <id>`, retrying while the last connection still holds
+    // the session.
+    let resume_ms = |id: &str| -> f64 {
+        loop {
+            let mut c = Client::connect(handle.addr()).expect("connect");
+            let t0 = Instant::now();
+            let reply = c.send(&format!("RESUME {id}")).expect("resume");
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            if reply.ends_with("busy") {
+                std::thread::sleep(Duration::from_millis(5));
+                continue;
+            }
+            assert!(reply.starts_with("OK resumed"), "{reply}");
+            assert_eq!(c.send("QUIT").unwrap(), "BYE");
+            return ms;
+        }
+    };
+    let clean = (0..RESUME_REPS).map(|_| resume_ms("durable")).collect();
+    let crash = (0..RESUME_REPS)
+        .map(|rep| {
+            let id = format!("crashed-{rep}");
+            std::fs::create_dir(root.join(&id)).expect("crash copy");
+            for (file, bytes) in &crash_image {
+                std::fs::write(root.join(&id).join(file), bytes).expect("crash copy");
+            }
+            resume_ms(&id)
+        })
+        .collect();
+    handle.shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+    DurableCost {
+        served_points,
+        wchar_bytes: wchar,
+        socket_bytes,
+        socket_in_wchar,
+        resume_clean_ms: median(clean),
+        resume_crash_ms: median(crash),
+    }
+}
+
 /// Median of a non-empty sample.
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -953,6 +1138,21 @@ fn main() {
     handle.shutdown();
     join.join().unwrap();
 
+    // ---- TCP server: one durable session ---------------------------------
+    // Alone in the process while it serves, so the write counter sees only
+    // its WAL and snapshots.
+    let durable = durable_session(sizes.server_trees, sizes.durable_served);
+    let durable_bpp = durable.bytes_per_point();
+    eprintln!(
+        "[durable] {} points served after the swap: {} B/pt written (socket bytes in \
+         wchar: {:?}); RESUME {:.1} ms after a clean close, {:.1} ms after a crash",
+        durable.served_points,
+        durable_bpp.map_or("n/a".to_string(), |b| format!("{b:.1}")),
+        durable.socket_in_wchar,
+        durable.resume_clean_ms,
+        durable.resume_crash_ms
+    );
+
     // ---- Results --------------------------------------------------------
     let json = format!(
         r#"{{
@@ -1069,6 +1269,17 @@ fn main() {
     "note": "aggregate OBSB points/sec of N trained sessions streaming at once (timed after every session's model landed)",
     "sessions": {sessions},
     "points_per_sec": {concurrent_pps:.1}
+  }},
+  "durable_session": {{
+    "note": "one durable TCP session in a temporary state directory: {durable_days} days of labeled 1-minute pv history, LABEL, RETRAIN, then served_points in {durable_batch}-point OBSB lines; bytes_per_point is the /proc/self/io wchar delta over those lines, less the bench's own request and reply bytes where wchar counts socket writes (socket_in_wchar), per point (null where /proc is unavailable); resume_*_ms are medians of {resume_reps} RESUMEs after a clean close and of a copy of the session's files taken after the last served line (a crash); report only",
+    "n_trees": {server_trees},
+    "served_points": {durable_served},
+    "wchar_bytes": {durable_wchar},
+    "socket_bytes": {durable_socket},
+    "socket_in_wchar": {durable_socket_in_wchar},
+    "bytes_per_point": {durable_bpp},
+    "resume_clean_ms": {durable_clean:.1},
+    "resume_crash_ms": {durable_crash:.1}
   }}
 }}
 "#,
@@ -1142,6 +1353,20 @@ fn main() {
         obsb_p50 = obsb.p50_us,
         obsb_p99 = obsb.p99_us,
         sessions = sizes.sessions,
+        durable_days = DURABLE_HISTORY_DAYS,
+        durable_batch = DURABLE_BATCH,
+        resume_reps = RESUME_REPS,
+        durable_served = durable.served_points,
+        durable_wchar = durable
+            .wchar_bytes
+            .map_or("null".to_string(), |b| b.to_string()),
+        durable_socket = durable.socket_bytes,
+        durable_socket_in_wchar = durable
+            .socket_in_wchar
+            .map_or("null".to_string(), |b| b.to_string()),
+        durable_bpp = durable_bpp.map_or("null".to_string(), |b| format!("{b:.1}")),
+        durable_clean = durable.resume_clean_ms,
+        durable_crash = durable.resume_crash_ms,
     );
     std::fs::create_dir_all("results").expect("create results dir");
     let path = "results/BENCH_serving.json";

@@ -19,7 +19,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Configuration of an [`Opprentice`] instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpprenticeConfig {
     /// The operators' accuracy preference ("recall ≥ R and precision ≥ P").
     pub preference: Preference,

@@ -314,12 +314,16 @@ impl SessionSnapshot {
 
     /// Installs the trained state into a pipeline that has already replayed
     /// the WAL prefix this snapshot covers. Verifies that the replayed
-    /// observation/label state agrees with what was snapshotted — a
-    /// mismatch means the WAL and snapshot are from different histories.
+    /// configuration and observation/label state agree with what was
+    /// snapshotted — a mismatch means the WAL and snapshot are from
+    /// different histories.
     /// The decoded model moves into the pipeline as it is.
     pub fn install_into(self, opp: &mut Opprentice) -> Result<(), SnapshotError> {
         if opp.interval() != self.interval {
             return Err(SnapshotError::StateMismatch("interval"));
+        }
+        if opp.config() != &self.config() {
+            return Err(SnapshotError::StateMismatch("config"));
         }
         if opp.observed_len() as u64 != self.n_observed {
             return Err(SnapshotError::StateMismatch("observed point count"));
@@ -504,6 +508,55 @@ mod tests {
             snap.install_into(&mut wrong_interval),
             Err(SnapshotError::StateMismatch("interval"))
         );
+    }
+
+    /// The stored configuration is checked too: a snapshot of a 10-tree
+    /// session does not install into a 20-tree replay of the same points
+    /// and labels, nor into one with another preference or cThld constant.
+    #[test]
+    fn install_rejects_a_divergent_config() {
+        let replay = |config: OpprenticeConfig| {
+            let mut opp = Opprentice::new(INTERVAL, config);
+            for i in 0..48 {
+                opp.observe(i * i64::from(INTERVAL), Some(100.0 + (i % 7) as f64));
+            }
+            let flags = (0..48).map(|i| i == 30).collect();
+            opp.ingest_labels(&Labels::from_flags(flags)).unwrap();
+            opp
+        };
+        let trees = |n_trees| OpprenticeConfig {
+            forest: RandomForestParams {
+                n_trees,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let snap = SessionSnapshot::capture(&replay(trees(10)), 0);
+        assert_eq!(snap.clone().install_into(&mut replay(trees(10))), Ok(()));
+        let divergent = [
+            trees(20),
+            OpprenticeConfig {
+                preference: Preference {
+                    recall: 0.9,
+                    precision: 0.5,
+                },
+                ..trees(10)
+            },
+            OpprenticeConfig {
+                cthld_alpha: 0.5,
+                ..trees(10)
+            },
+            OpprenticeConfig {
+                fallback_cthld: 0.4,
+                ..trees(10)
+            },
+        ];
+        for config in divergent {
+            assert_eq!(
+                snap.clone().install_into(&mut replay(config)),
+                Err(SnapshotError::StateMismatch("config"))
+            );
+        }
     }
 
     #[test]

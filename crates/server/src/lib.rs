@@ -51,10 +51,11 @@
 //!
 //! - **Durability.** Durable sessions append every acknowledged command to
 //!   a per-session write-ahead log *before* the `OK` goes out, and
-//!   periodically snapshot the trained state (compiled model, threshold
-//!   predictor, labels) atomically. `RESUME` replays the log around the latest
-//!   snapshot; because training is deterministically seeded, a resumed
-//!   session produces byte-identical verdicts to one that never crashed.
+//!   snapshot the trained state (compiled model, threshold predictor,
+//!   labels) atomically at each model swap and clean close. `RESUME`
+//!   replays the log around the latest snapshot; because training is
+//!   deterministically seeded, a resumed session produces byte-identical
+//!   verdicts to one that never crashed.
 //! - **Timeouts.** A line must complete within a deadline once its first
 //!   byte arrives (anti-slowloris), and connections with no traffic are
 //!   reaped, so one hung client can never pin a thread forever.

@@ -55,8 +55,6 @@ pub struct ServerConfig {
     /// immediately instead of degrading everyone (their input is drained
     /// briefly off the accept thread so the reply is not lost to a reset).
     pub max_connections: usize,
-    /// Snapshot a durable session every N applied commands.
-    pub snapshot_every: u64,
     /// Test hook: accept a `PANIC` verb that panics inside the command
     /// handler, to exercise panic isolation from the outside. Never enable
     /// in production.
@@ -73,7 +71,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(300),
             max_line_len: 1 << 20,
             max_connections: 256,
-            snapshot_every: 256,
             enable_panic_verb: false,
         }
     }
@@ -254,34 +251,16 @@ struct ConnCtx {
     stop: Arc<AtomicBool>,
 }
 
-/// True for commands that mutate session state and therefore belong in
-/// the write-ahead log. `RETRAIN` is deliberately absent: accepting one
-/// only *starts* a background job, which mutates nothing until its model
-/// is swapped in — [`harvest_training`] logs the `RETRAIN` at that moment,
-/// so recovery replays to exactly the model that was serving (old before
-/// the swap, new after), never a torn state.
-fn is_durable_command(request: &Request) -> bool {
-    matches!(
-        request,
-        Request::Hello { .. }
-            | Request::Pref { .. }
-            | Request::Obs { .. }
-            | Request::ObsBatch { .. }
-            | Request::Label { .. }
-    )
-}
-
 /// Polls the session's background trainer; when a new model just landed,
-/// makes the swap durable (logs `RETRAIN` at the swap position — see
-/// [`is_durable_command`]) and returns the completion event line to write
-/// to the client ahead of the next reply.
+/// makes the swap durable ([`DurableSession::log_swap`]) and returns the
+/// completion event line to write to the client ahead of the next reply.
 fn harvest_training(session: &mut Session, durable: &mut Option<DurableSession>) -> Option<String> {
     let report = session.poll_training()?;
-    if let Some(d) = durable.as_mut() {
+    if let (Some(d), Some(p)) = (durable.as_mut(), session.pipeline.as_ref()) {
         // An append failure leaves the swap volatile — recovery would land
         // on the old model — but the live session serves the new one
-        // either way, and the next snapshot captures it durably.
-        let _ = d.append("RETRAIN");
+        // either way, and the clean close's snapshot captures it durably.
+        let _ = d.log_swap(p);
     }
     Some(format!(
         "EVENT retrained job={} model_version={} cthld={:.3} train_us={}",
@@ -289,8 +268,8 @@ fn harvest_training(session: &mut Session, durable: &mut Option<DurableSession>)
     ))
 }
 
-/// Parses and applies one trimmed, non-empty line; maintains the WAL and
-/// periodic snapshots for durable sessions. Runs inside `catch_unwind`.
+/// Parses and applies one trimmed, non-empty line; hands each applied
+/// request of a durable session to its WAL. Runs inside `catch_unwind`.
 fn apply_line(
     trimmed: &str,
     session: &mut Session,
@@ -316,28 +295,12 @@ fn apply_line(
             if session.pipeline.is_some() {
                 return Response::Err("already configured".into());
             }
-            let mut new_durable = match store.create(id, ctx.config.n_trees) {
-                Ok(d) => d,
+            // The HELLO itself is applied and logged below, like any
+            // other command.
+            match store.create(id, ctx.config.n_trees) {
+                Ok(d) => *durable = Some(d),
                 Err(e) => return Response::Err(e.to_string()),
-            };
-            let response = session.apply(&request);
-            if let Response::Ok(_) = &response {
-                // A `PREF` sent before this `HELLO` predates the WAL, so the
-                // effective preference is synthesized into the log here —
-                // otherwise a pre-snapshot crash would silently reset a
-                // recovered session to the default preference.
-                let pref = format!(
-                    "PREF {} {}",
-                    session.preference.recall, session.preference.precision
-                );
-                for line in [pref.as_str(), trimmed] {
-                    if let Err(e) = new_durable.append(line) {
-                        return Response::Err(format!("session store I/O: {e}"));
-                    }
-                }
-                *durable = Some(new_durable);
             }
-            return response;
         }
         Request::Resume { session: id } => {
             let Some(store) = ctx.store.as_ref() else {
@@ -363,39 +326,15 @@ fn apply_line(
     }
 
     let response = session.apply(&request);
-
-    if let Some(d) = durable.as_mut().filter(|_| response.is_ok()) {
-        if is_durable_command(&request) {
-            // Append after apply, before the OK goes out: every command the
-            // client sees acknowledged is on disk.
-            let appended = match &request {
-                // A batch is logged as its equivalent `OBS` lines — replay
-                // needs no batch awareness — with one flush for the whole
-                // group (group commit) instead of one per point.
-                Request::ObsBatch { start, values } => {
-                    let interval = session
-                        .pipeline_mut()
-                        .map_or(1, |p| i64::from(p.interval()));
-                    d.append_batch(values.iter().enumerate().map(|(i, v)| {
-                        let ts = start + i as i64 * interval;
-                        match v {
-                            Some(v) => format!("OBS {ts} {v}"),
-                            None => format!("OBS {ts} nan"),
-                        }
-                    }))
-                }
-                _ => d.append(trimmed),
-            };
-            if let Err(e) = appended {
-                return Response::Err(format!("session store I/O: {e}"));
-            }
-            if d.since_snapshot() >= ctx.config.snapshot_every {
-                if let Some(p) = session.pipeline_mut() {
-                    // Snapshot failure is non-fatal: the WAL alone is
-                    // sufficient for recovery, just slower.
-                    let _ = d.snapshot(p);
-                }
-            }
+    if let (true, Some(d), Some(p)) = (
+        response.is_ok(),
+        durable.as_mut(),
+        session.pipeline.as_ref(),
+    ) {
+        // Logged after apply, before the OK goes out: every command the
+        // client sees acknowledged is on its way to disk.
+        if let Err(e) = d.log(&request, trimmed, p) {
+            return Response::Err(format!("session store I/O: {e}"));
         }
     }
     response
@@ -542,13 +481,8 @@ fn serve_connection(stream: TcpStream, ctx: Arc<ConnCtx>) {
         }
     }
 
-    if !poisoned {
-        if let Some(d) = durable.as_mut() {
-            if let Some(p) = session.pipeline_mut() {
-                let _ = d.snapshot(p);
-            }
-            let _ = d.sync();
-        }
+    if let (false, Some(d)) = (poisoned, durable) {
+        let _ = d.close(session.pipeline.as_ref());
     }
     let _ = writer.shutdown(Shutdown::Both);
 }
@@ -770,9 +704,11 @@ mod tests {
         }
 
         fn send(&mut self, line: &str) -> String {
-            self.writer.write_all(line.as_bytes()).unwrap();
-            self.writer.write_all(b"\n").unwrap();
-            self.writer.flush().unwrap();
+            // One write per line: a second small write would wait out
+            // Nagle's algorithm for the server's delayed ACK (~40 ms).
+            self.writer
+                .write_all(format!("{line}\n").as_bytes())
+                .unwrap();
             self.read_line()
         }
 
@@ -1482,6 +1418,66 @@ mod tests {
         assert!(c.send("HELLO 60 after").starts_with("OK"));
         assert!(c.send("OBS 0 1.0").starts_with("OK"));
         c.send("QUIT");
+        handle.shutdown();
+        join.join().unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Served lines write no snapshot: after a swap, `snapshot.oprf` stays
+    /// the same file (every snapshot is a rename of a fresh temp file, so
+    /// a rewrite changes the inode) through 1,000 served lines, until the
+    /// next swap replaces it.
+    #[cfg(unix)]
+    #[test]
+    fn only_a_swap_rewrites_the_snapshot_while_serving() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!(
+            "opprentice-service-test-{}-cadence",
+            std::process::id()
+        ));
+        let config = ServerConfig {
+            state_dir: Some(dir.clone()),
+            ..test_config()
+        };
+        let (handle, join) = start_server(config);
+        let mut c = Client::connect(handle.addr());
+        assert!(c.send("HELLO 3600 cadence").starts_with("OK"));
+        // Hourly points with a spike every 63 hours, labeled as they go.
+        let serve = |c: &mut Client, hours: std::ops::Range<usize>| -> String {
+            hours
+                .map(|i| {
+                    let base =
+                        100.0 + 20.0 * ((i % 24) as f64 / 24.0 * std::f64::consts::TAU).sin();
+                    let anomalous = i % 63 == 50 || i % 63 == 51;
+                    let v = if anomalous { base + 150.0 } else { base };
+                    let reply = c.send(&format!("OBS {} {v}", i * 3600));
+                    assert!(reply.starts_with("OK"), "{reply}");
+                    if anomalous {
+                        '1'
+                    } else {
+                        '0'
+                    }
+                })
+                .collect()
+        };
+        let history = 21 * 24;
+        let flags = serve(&mut c, 0..history);
+        assert!(c.send(&format!("LABEL {flags}")).starts_with("OK"));
+        retrain_and_wait(&mut c);
+
+        let snapshot = dir.join("cadence").join("snapshot.oprf");
+        let inode = || std::fs::metadata(&snapshot).unwrap().ino();
+        // Held open, so no later file can reuse its inode number.
+        let held = std::fs::File::open(&snapshot).unwrap();
+        let swapped = held.metadata().unwrap().ino();
+        let flags = serve(&mut c, history..history + 1000);
+        assert_eq!(inode(), swapped, "a served line rewrote the snapshot");
+
+        assert!(c.send(&format!("LABEL {flags}")).starts_with("OK"));
+        retrain_and_wait(&mut c);
+        assert_ne!(inode(), swapped, "the second swap kept the old snapshot");
+        drop(held);
+        assert_eq!(c.send("QUIT"), "BYE");
         handle.shutdown();
         join.join().unwrap();
         std::fs::remove_dir_all(dir).unwrap();

@@ -1,4 +1,6 @@
-//! Durable session state: write-ahead log + snapshots + recovery.
+//! Durable session state: write-ahead log + snapshots + recovery. This
+//! module alone decides what reaches the WAL and in which text format;
+//! the connection loop hands it applied requests and landed model swaps.
 //!
 //! Each durable session owns a directory under the server's state root:
 //!
@@ -12,22 +14,37 @@
 //! **WAL.** The log's first line is a meta comment recording the log format
 //! and the forest size the session was created with (so recovery does not
 //! depend on the server's *current* configuration). Every subsequent line
-//! is the raw text of one successfully applied protocol command (`HELLO`,
-//! `PREF`, `OBS`, `LABEL`, `RETRAIN`). A command is appended *after* it has
-//! been applied and *before* its `OK` is sent, so every acknowledged
-//! command survives a crash. The one deliberate exception is `RETRAIN`,
-//! which trains in the background: its line is appended at the moment the
-//! finished model is *swapped in*, not when the job was accepted, so a
+//! is one successfully applied protocol command (`PREF`, `HELLO`, `OBS`,
+//! `LABEL`, `RETRAIN`), written by [`DurableSession::log`]:
+//!
+//! - `HELLO` is preceded by a synthesized `PREF` line carrying the
+//!   effective preference, since a `PREF` sent before `HELLO` predates
+//!   the log;
+//! - an `OBSB` batch is logged as its equivalent `OBS` lines, one per
+//!   point, with one flush for the group (replay needs no batch
+//!   awareness);
+//! - `OBS`, `LABEL` and `HELLO` are logged as the client sent them.
+//!
+//! A command is appended *after* it has been applied and *before* its `OK`
+//! is sent, and flushed to the OS (not fsynced): every acknowledged
+//! command survives a process crash, though not a power loss. The one
+//! deliberate exception is `RETRAIN`, which trains in the background: its
+//! line is appended at the moment the finished model is *swapped in*
+//! ([`DurableSession::log_swap`]), not when the job was accepted, so a
 //! crash during training recovers to the old model (the job simply never
 //! happened) and a crash after the swap recovers to the new one — never a
-//! torn in-between.
+//! torn in-between. A crash mid-write can tear the final line; that line
+//! was never acknowledged, so recovery cuts it off.
 //!
 //! **Snapshots.** Replaying `OBS` lines is cheap (feature extraction);
 //! replaying `RETRAIN` lines is the expensive part. A snapshot therefore
-//! captures the trained state (compiled model + EWMA prediction + labels) plus the
-//! WAL sequence number it corresponds to. Snapshots are written to a temp
-//! file, fsynced, and atomically renamed — a crash mid-snapshot leaves the
-//! previous snapshot intact.
+//! captures the trained state (compiled model + EWMA prediction + labels)
+//! plus the WAL sequence number it corresponds to. The model changes only
+//! at a swap, so a snapshot is written there, right after the `RETRAIN`
+//! line lands, and at clean connection close ([`DurableSession::close`]),
+//! which spares `RESUME` replaying the points served since; serving writes
+//! none. Snapshots are written to a temp file, fsynced, and atomically
+//! renamed — a crash mid-snapshot leaves the previous snapshot intact.
 //!
 //! **Recovery** (see [`recover`]): replay the WAL prefix covered by the
 //! snapshot with `RETRAIN` skipped, install the snapshot's trained state,
@@ -39,10 +56,11 @@
 use crate::proto::{parse_request, Request};
 use crate::service::Session;
 use opprentice::snapshot::{SessionSnapshot, SnapshotError};
+use opprentice::Opprentice;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -147,7 +165,6 @@ impl SessionStore {
             dir,
             wal,
             wal_seq: 0,
-            last_snapshot_seq: 0,
             lease,
         })
     }
@@ -165,19 +182,19 @@ impl SessionStore {
             return Err(StoreError::UnknownSession);
         }
 
-        let (n_trees, lines) = read_wal(&dir.join(WAL_FILE))?;
+        let (n_trees, lines, acknowledged) = read_wal(&dir.join(WAL_FILE))?;
         let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
-        let last_snapshot_seq = snapshot.as_ref().map_or(0, |s| s.wal_seq);
         let session = recover(n_trees, &lines, snapshot)?;
 
-        let wal = BufWriter::new(OpenOptions::new().append(true).open(dir.join(WAL_FILE))?);
-        let wal_seq = lines.len() as u64;
+        // Cut off a torn final line, so the next append starts a line of
+        // its own instead of completing it.
+        let file = OpenOptions::new().append(true).open(dir.join(WAL_FILE))?;
+        file.set_len(acknowledged)?;
         Ok((
             DurableSession {
                 dir,
-                wal,
-                wal_seq,
-                last_snapshot_seq,
+                wal: BufWriter::new(file),
+                wal_seq: lines.len() as u64,
                 lease,
             },
             session,
@@ -202,40 +219,85 @@ impl Drop for SessionLease {
     }
 }
 
-/// One connection's handle on its durable state: the open WAL plus
-/// snapshot bookkeeping.
+/// One connection's handle on its durable state: the open WAL and the
+/// number of command lines it holds.
 pub struct DurableSession {
     dir: PathBuf,
     wal: BufWriter<File>,
     wal_seq: u64,
-    last_snapshot_seq: u64,
     #[allow(dead_code)] // held for its Drop (releases the live-ownership claim)
     lease: SessionLease,
 }
 
 impl DurableSession {
-    /// Appends one applied command line to the WAL and flushes it to the
-    /// OS, so it survives a process crash. Call after applying the command
-    /// and before acknowledging it.
-    pub fn append(&mut self, line: &str) -> std::io::Result<()> {
-        writeln!(self.wal, "{line}")?;
-        self.wal.flush()?;
-        self.wal_seq += 1;
-        Ok(())
+    /// Logs one applied request as the WAL lines recovery replays (see the
+    /// module docs) and flushes them to the OS. Call after `request` has
+    /// applied and before its `OK` goes out. `line` is the request as the
+    /// client sent it; `opp` is the session's pipeline after it applied.
+    pub(crate) fn log(
+        &mut self,
+        request: &Request,
+        line: &str,
+        opp: &Opprentice,
+    ) -> std::io::Result<()> {
+        match request {
+            Request::Hello { .. } => {
+                let pref = opp.config().preference;
+                let pref = format!("PREF {} {}", pref.recall, pref.precision);
+                self.append([pref.as_str(), line])
+            }
+            Request::ObsBatch { start, values } => {
+                let interval = i64::from(opp.interval());
+                self.append(values.iter().enumerate().map(|(i, v)| {
+                    let ts = start + i as i64 * interval;
+                    match v {
+                        Some(v) => format!("OBS {ts} {v}"),
+                        None => format!("OBS {ts} nan"),
+                    }
+                }))
+            }
+            Request::Obs { .. } | Request::Label { .. } => self.append([line]),
+            // `RETRAIN` only starts a job, which mutates nothing until its
+            // model is swapped in: [`DurableSession::log_swap`] logs it
+            // then. `PREF` applies only before `HELLO`, which logs it; the
+            // rest change no session state.
+            Request::Retrain
+            | Request::Pref { .. }
+            | Request::Resume { .. }
+            | Request::Status
+            | Request::Quit => Ok(()),
+        }
     }
 
-    /// Appends a group of applied command lines with a *single* flush at
-    /// the end — group commit. Durability is the same as [`append`]'s
-    /// (nothing is acknowledged until the whole group has reached the OS),
-    /// but an N-point `OBSB` costs one flush instead of N.
-    ///
-    /// [`append`]: DurableSession::append
-    pub fn append_batch<I>(&mut self, lines: I) -> std::io::Result<()>
+    /// Makes a model swap durable: logs `RETRAIN` at the swap position
+    /// and, only once that line is on its way to disk, snapshots the new
+    /// model, so recovery does not retrain it. A failed snapshot still
+    /// leaves the swap recoverable by replaying the `RETRAIN`.
+    pub(crate) fn log_swap(&mut self, opp: &Opprentice) -> std::io::Result<()> {
+        self.append(["RETRAIN"])?;
+        self.snapshot(opp)
+    }
+
+    /// Ends the connection cleanly: snapshots the session (if configured),
+    /// so `RESUME` replays nothing logged before this point, and fsyncs
+    /// the WAL.
+    pub(crate) fn close(mut self, opp: Option<&Opprentice>) -> std::io::Result<()> {
+        if let Some(opp) = opp {
+            self.snapshot(opp)?;
+        }
+        self.wal.flush()?;
+        self.wal.get_ref().sync_all()
+    }
+
+    /// Appends command lines with a *single* flush at the end — group
+    /// commit: an N-point `OBSB` costs one flush instead of N, and nothing
+    /// is acknowledged until the whole group has reached the OS.
+    fn append<I>(&mut self, lines: I) -> std::io::Result<()>
     where
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let mut n = 0u64;
+        let mut n = 0;
         for line in lines {
             writeln!(self.wal, "{}", line.as_ref())?;
             n += 1;
@@ -245,56 +307,44 @@ impl DurableSession {
         Ok(())
     }
 
-    /// Commands applied since the last snapshot.
-    pub fn since_snapshot(&self) -> u64 {
-        self.wal_seq - self.last_snapshot_seq
-    }
-
     /// Writes a full-state snapshot atomically (temp file, fsync, rename).
-    pub fn snapshot(&mut self, opp: &opprentice::Opprentice) -> std::io::Result<()> {
+    fn snapshot(&mut self, opp: &Opprentice) -> std::io::Result<()> {
         let snap = SessionSnapshot::capture(opp, self.wal_seq);
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let mut file = File::create(&tmp)?;
         file.write_all(&snap.to_bytes())?;
         file.sync_all()?;
         drop(file);
-        std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        self.last_snapshot_seq = self.wal_seq;
-        Ok(())
-    }
-
-    /// Fsyncs the WAL itself (used at clean shutdown).
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        self.wal.flush()?;
-        self.wal.get_ref().sync_all()
+        std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))
     }
 }
 
-/// Reads and validates the WAL: returns the forest size from the meta line
-/// and the applied command lines.
-fn read_wal(path: &Path) -> Result<(usize, Vec<String>), StoreError> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut lines = Vec::new();
-    let mut n_trees = None;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if i == 0 {
-            let rest = line
-                .strip_prefix(WAL_META_PREFIX)
-                .ok_or_else(|| StoreError::CorruptWal("missing meta line".to_string()))?;
-            n_trees = Some(
-                rest.parse::<usize>()
-                    .map_err(|_| StoreError::CorruptWal("bad n_trees in meta line".to_string()))?,
-            );
-            continue;
-        }
-        if line.is_empty() {
-            continue; // torn final line from a crash mid-write
-        }
-        lines.push(line);
-    }
-    let n_trees = n_trees.ok_or_else(|| StoreError::CorruptWal("empty WAL".to_string()))?;
-    Ok((n_trees, lines))
+/// Reads and validates the WAL: returns the forest size from the meta
+/// line, the applied command lines, and the byte length of the complete
+/// lines. An unterminated final line is left out: a crash tore it
+/// mid-write, so its command was never acknowledged.
+fn read_wal(path: &Path) -> Result<(usize, Vec<String>, u64), StoreError> {
+    let mut bytes = Vec::new();
+    File::open(path)?.read_to_end(&mut bytes)?;
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let text = std::str::from_utf8(&bytes[..complete])
+        .map_err(|_| StoreError::CorruptWal("not UTF-8".to_string()))?;
+    let mut lines = text.lines();
+    let meta = lines
+        .next()
+        .ok_or_else(|| StoreError::CorruptWal("empty WAL".to_string()))?;
+    let n_trees = meta
+        .strip_prefix(WAL_META_PREFIX)
+        .ok_or_else(|| StoreError::CorruptWal("missing meta line".to_string()))?
+        .parse::<usize>()
+        .map_err(|_| StoreError::CorruptWal("bad n_trees in meta line".to_string()))?;
+    // The log never holds a blank line; skipping one keeps a hand-edited
+    // log replayable.
+    let lines = lines
+        .filter(|line| !line.is_empty())
+        .map(str::to_string)
+        .collect();
+    Ok((n_trees, lines, complete as u64))
 }
 
 /// Loads the snapshot if one exists.
@@ -389,20 +439,27 @@ mod tests {
         dir
     }
 
+    /// Applies and logs protocol lines the way the server does.
     fn apply_all(session: &mut Session, durable: &mut DurableSession, lines: &[String]) {
         for line in lines {
             let request = parse_request(line).unwrap();
-            match session.apply(&request) {
-                r if r.is_ok() => {
-                    // Mirror the server: a RETRAIN line records the swap,
-                    // so the background job must land before it is logged.
-                    if request == Request::Retrain {
-                        session.wait_training().expect("retrain lands");
-                    }
-                    durable.append(line).unwrap();
-                }
-                other => panic!("`{line}` -> {other:?}"),
+            let response = session.apply(&request);
+            assert!(response.is_ok(), "`{line}` -> {response:?}");
+            if request == Request::Retrain {
+                // A RETRAIN line records the swap, so the background job
+                // must land before it is logged.
+                session.wait_training().expect("retrain lands");
+                durable.log_swap(session.pipeline_mut().unwrap()).unwrap();
+            } else if let Some(p) = session.pipeline_mut() {
+                durable.log(&request, line, p).unwrap();
             }
+        }
+    }
+
+    fn status(session: &mut Session) -> String {
+        match session.apply(&Request::Status) {
+            Response::Ok(s) => s,
+            other => panic!("{other:?}"),
         }
     }
 
@@ -448,7 +505,10 @@ mod tests {
         let mut durable = store.create("kpi-1", 8).unwrap();
         let mut live = Session::new(8);
         apply_all(&mut live, &mut durable, &lines);
-        drop(durable); // crash: no snapshot, no clean close
+        drop(durable); // crash: no clean close
+                       // Recover from the WAL alone, as if the crash beat the swap's
+                       // snapshot.
+        std::fs::remove_file(root.join("kpi-1").join(SNAPSHOT_FILE)).unwrap();
 
         let (_d2, mut recovered) = store.resume("kpi-1").unwrap();
         // The replayed RETRAIN rebuilt the swapped-in model exactly.
@@ -479,12 +539,14 @@ mod tests {
         drop(durable);
 
         let (d2, mut recovered) = store.resume("kpi-2").unwrap();
-        assert_eq!(d2.since_snapshot(), 48);
-        // The snapshot path restores the model version too.
-        match recovered.apply(&Request::Status) {
-            Response::Ok(s) => assert!(s.contains("model_version=1"), "{s}"),
-            other => panic!("{other:?}"),
-        }
+        let snap = read_snapshot(&root.join("kpi-2").join(SNAPSHOT_FILE))
+            .unwrap()
+            .unwrap();
+        assert_eq!(d2.wal_seq - snap.wal_seq, 48);
+        // The snapshot path restores the model version too, without
+        // training.
+        let s = status(&mut recovered);
+        assert!(s.contains("train_us=0 model_version=1"), "{s}");
         let t0 = (21 * 24 + 48) * 3600;
         assert_eq!(probe(&mut live, t0), probe(&mut recovered, t0));
         std::fs::remove_dir_all(root).unwrap();
@@ -502,22 +564,18 @@ mod tests {
         // A burst applied as one batch: the session sees an OBSB, the WAL
         // gets the decomposed OBS lines in one group commit.
         let t0 = (14 * 24) * 3600i64;
-        let values: Vec<Option<f64>> = vec![Some(101.0), None, Some(250.0), Some(99.5)];
-        let response = live.apply(&Request::ObsBatch {
-            start: t0,
-            values: values.clone(),
-        });
-        assert!(response.is_ok(), "{response:?}");
-        durable
-            .append_batch(values.iter().enumerate().map(|(i, v)| {
-                let ts = t0 + i as i64 * 3600;
-                match v {
-                    Some(v) => format!("OBS {ts} {v}"),
-                    None => format!("OBS {ts} nan"),
-                }
-            }))
-            .unwrap();
-        assert_eq!(durable.since_snapshot(), lines.len() as u64 + 4);
+        let batch = format!("OBSB {t0} 101.0 nan 250 99.5");
+        apply_all(&mut live, &mut durable, &[batch]);
+        assert_eq!(durable.wal_seq, lines.len() as u64 + 4);
+        let wal = std::fs::read_to_string(root.join("batched").join(WAL_FILE)).unwrap();
+        let tail: Vec<&str> = wal.lines().rev().take(4).collect();
+        let expected: Vec<String> = ["101", "nan", "250", "99.5"]
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(i, v)| format!("OBS {} {v}", t0 + i as i64 * 3600))
+            .collect();
+        assert_eq!(tail, expected);
         drop(durable); // crash
 
         let (_d2, mut recovered) = store.resume("batched").unwrap();
@@ -615,6 +673,75 @@ mod tests {
             store.resume("badwal"),
             Err(StoreError::CorruptWal(_))
         ));
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    /// A crash mid-write can leave an unterminated final line. It was never
+    /// acknowledged, so `RESUME` drops it and truncates the log to the last
+    /// complete line, and the next append starts a line of its own.
+    #[test]
+    fn torn_final_wal_line_is_cut_off() {
+        let root = scratch();
+        let store = SessionStore::open(&root).unwrap();
+        let mut durable = store.create("torn-wal", 8).unwrap();
+        let mut live = Session::new(8);
+        let lines = ["HELLO 3600 torn-wal", "OBS 0 100.5", "OBS 3600 101.5"].map(String::from);
+        apply_all(&mut live, &mut durable, &lines);
+        drop(durable);
+        let wal_path = root.join("torn-wal").join(WAL_FILE);
+        let whole = std::fs::read_to_string(&wal_path).unwrap();
+        // `OBS 7200 105.5`, torn after its first 11 bytes.
+        let mut torn = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&wal_path)
+            .unwrap();
+        torn.write_all(b"OBS 7200 10").unwrap();
+        drop(torn);
+
+        let (mut d2, mut recovered) = store.resume("torn-wal").unwrap();
+        assert!(status(&mut recovered).starts_with("observed=2 "));
+        assert_eq!(std::fs::read_to_string(&wal_path).unwrap(), whole);
+        apply_all(&mut recovered, &mut d2, &["OBS 7200 105.5".to_string()]);
+        drop(d2);
+
+        let (_d3, mut recovered) = store.resume("torn-wal").unwrap();
+        assert!(status(&mut recovered).starts_with("observed=3 "));
+        let wal = std::fs::read_to_string(&wal_path).unwrap();
+        assert_eq!(wal, format!("{whole}OBS 7200 105.5\n"));
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    /// A crash after the swap's `RETRAIN` reached the WAL but before its
+    /// snapshot did: `RESUME` replays the retrain. The next clean close
+    /// snapshots the model, and the resume after it trains nothing.
+    #[test]
+    fn crash_before_the_swap_snapshot_replays_the_retrain_once() {
+        let root = scratch();
+        let store = SessionStore::open(&root).unwrap();
+        let lines = workload(14 * 24, "swap-crash");
+        let (setup, retrain) = lines.split_at(lines.len() - 1);
+        assert_eq!(retrain, ["RETRAIN"]);
+
+        let mut durable = store.create("swap-crash", 8).unwrap();
+        let mut live = Session::new(8);
+        apply_all(&mut live, &mut durable, setup);
+        assert!(live.apply(&Request::Retrain).is_ok());
+        live.wait_training().expect("retrain lands");
+        durable.append(["RETRAIN"]).unwrap();
+        drop(durable); // crash before the snapshot
+        assert!(!root.join("swap-crash").join(SNAPSHOT_FILE).exists());
+
+        let (d2, mut recovered) = store.resume("swap-crash").unwrap();
+        let s = status(&mut recovered);
+        assert!(s.contains(" model_version=1 "), "{s}");
+        assert!(!s.contains(" train_us=0 "), "the retrain replays: {s}");
+        d2.close(recovered.pipeline_mut().as_deref()).unwrap();
+
+        let (_d3, mut recovered) = store.resume("swap-crash").unwrap();
+        let s = status(&mut recovered);
+        assert!(s.contains(" train_us=0 model_version=1 "), "{s}");
+        let t0 = (14 * 24) * 3600;
+        assert_eq!(probe(&mut live, t0), probe(&mut recovered, t0));
         std::fs::remove_dir_all(root).unwrap();
     }
 }

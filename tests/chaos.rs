@@ -244,7 +244,6 @@ fn killed_and_resumed_session_scores_identically() {
     let state_dir = scratch();
     let config = ServerConfig {
         state_dir: Some(state_dir.clone()),
-        snapshot_every: 64,
         enable_panic_verb: true,
         ..test_config()
     };
@@ -286,8 +285,8 @@ fn killed_and_resumed_session_scores_identically() {
         .starts_with("OK"));
     retrain_and_wait(&mut victim);
     // A handler panic poisons the session: no final snapshot is taken, so
-    // the next resume must recover from the WAL alone past the last
-    // periodic snapshot.
+    // the next resume recovers from the swap's snapshot and replays the
+    // WAL past it.
     assert_eq!(victim.send("PANIC").unwrap(), "ERR internal error");
     assert_eq!(victim.read_line().unwrap(), ""); // and the connection died
 
@@ -442,7 +441,6 @@ fn obsb_batches_match_obs_across_kill_and_resume() {
     let state_dir = scratch();
     let config = ServerConfig {
         state_dir: Some(state_dir.clone()),
-        snapshot_every: 64,
         ..test_config()
     };
     let (handle, join) = start_server(config);
