@@ -44,8 +44,14 @@
 //!
 //! One durable session runs over TCP in a temporary state directory
 //! (`durable_session`): the bytes the process writes per point served
-//! after its model swap (`wchar` in `/proc/self/io`), and the `RESUME`
+//! after its model swap (`wchar` in `/proc/self/io`;
+//! `--max-durable-bytes-per-pt` turns it into a ceiling), and the `RESUME`
 //! wall time after a clean close and after a crash.
+//!
+//! The extraction worker pool's balance is timed in process on the
+//! 30-point batches the pv agent sends (`pool_balance`): per batch, the
+//! caller's own shard, the slowest worker shard, the caller's wait for the
+//! workers, and the batch wall time at one thread and at the pool's width.
 //!
 //! Results land in `results/BENCH_serving.json`. Modes: `--tiny` (CI
 //! smoke, seconds), default (laptop-sized), `--full` (paper-sized forest
@@ -59,7 +65,7 @@ use opprentice::snapshot::SessionSnapshot;
 use opprentice::{Opprentice, OpprenticeConfig};
 use opprentice_detectors::{clamp_severity, registry, Detector};
 use opprentice_learn::{Classifier, Dataset, RandomForest, RandomForestParams, TrainingSet};
-use opprentice_numeric::parallel::configured_threads;
+use opprentice_numeric::parallel::{configured_threads, THREADS_ENV};
 use opprentice_server::testing::Client;
 use opprentice_server::{Server, ServerConfig};
 use std::io::Write;
@@ -99,6 +105,8 @@ struct Sizes {
     landing_reps: usize,
     /// Points the durable session serves after its swap.
     durable_served: usize,
+    /// 30-point batches timed per thread count in `pool_balance`.
+    pool_batches: usize,
 }
 
 /// Parses `--<flag> <N>`: a committed throughput floor or memory ceiling.
@@ -138,6 +146,7 @@ impl Sizes {
                 onboard_days: &[3],
                 landing_reps: 3,
                 durable_served: 1440,
+                pool_batches: 300,
             }
         } else if full {
             Sizes {
@@ -155,6 +164,7 @@ impl Sizes {
                 onboard_days: &[3, 28],
                 landing_reps: 5,
                 durable_served: 7 * 1440,
+                pool_batches: 2000,
             }
         } else {
             Sizes {
@@ -172,6 +182,7 @@ impl Sizes {
                 onboard_days: &[3],
                 landing_reps: 5,
                 durable_served: 7 * 1440,
+                pool_batches: 2000,
             }
         }
     }
@@ -581,6 +592,78 @@ fn landing_windows(reps: usize, n_trees: usize) -> (Vec<(WindowCost, WindowCost)
     }
 }
 
+/// Days of 1-minute pv history an extractor has seen before
+/// [`pool_balance`] times its batches: the benchmark workloads' history.
+const POOL_HISTORY_DAYS: usize = 3;
+
+/// Points per batch in [`pool_balance`], as the pv agent sends them.
+const POOL_BATCH: usize = 30;
+
+/// Medians over one run of [`pool_balance`] batches, in µs per batch.
+struct PoolBalance {
+    threads: usize,
+    wall_us: f64,
+    /// Worker-pool split: `None` when the run had one shard.
+    inline_us: Option<f64>,
+    worker_us: Option<f64>,
+    wait_us: Option<f64>,
+}
+
+/// Times `batches` [`POOL_BATCH`]-point `observe_batch` calls on a fresh
+/// 1-minute extractor after [`POOL_HISTORY_DAYS`] of pv history (fed in
+/// the 256-point chunks a retrain's re-extraction uses), with the worker
+/// pool at `threads` threads. Reports the median batch wall time and, with
+/// a pool, the median kernel time of the caller's own shard, of the
+/// slowest worker shard, and of the caller's wait for the workers.
+fn pool_balance(threads: usize, batches: usize) -> PoolBalance {
+    let history = POOL_HISTORY_DAYS * 1440;
+    let total = history + batches * POOL_BATCH;
+    let mut spec = opprentice_datagen::presets::pv();
+    spec.weeks = total.div_ceil(7 * 1440);
+    let kpi = spec.generate();
+    let timestamps: Vec<i64> = kpi.series.iter().take(total).map(|(ts, _)| ts).collect();
+    let values: Vec<Option<f64>> = kpi.series.iter().take(total).map(|(_, v)| v).collect();
+
+    // The pool's width is read from the process-wide thread setting when
+    // the extractor is built; nothing else runs while it is overridden.
+    let saved = std::env::var(THREADS_ENV).ok();
+    std::env::set_var(THREADS_ENV, threads.to_string());
+    let mut extractor = OnlineExtractor::new(60);
+    match saved {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
+    }
+    for (ts, vs) in timestamps[..history]
+        .chunks(EXTRACT_BATCH)
+        .zip(values[..history].chunks(EXTRACT_BATCH))
+    {
+        std::hint::black_box(extractor.observe_batch(ts, vs));
+    }
+    let mut wall = Vec::with_capacity(batches);
+    let (mut inline, mut worker, mut wait) = (Vec::new(), Vec::new(), Vec::new());
+    for (ts, vs) in timestamps[history..]
+        .chunks(POOL_BATCH)
+        .zip(values[history..].chunks(POOL_BATCH))
+    {
+        let t0 = Instant::now();
+        std::hint::black_box(extractor.observe_batch(ts, vs));
+        wall.push(t0.elapsed().as_secs_f64() * 1e6);
+        if let Some(t) = extractor.last_pool_batch() {
+            inline.push(t.inline_ns as f64 / 1e3);
+            worker.push(t.worker_ns as f64 / 1e3);
+            wait.push(t.wait_ns as f64 / 1e3);
+        }
+    }
+    let median_of = |xs: Vec<f64>| (!xs.is_empty()).then(|| median(xs));
+    PoolBalance {
+        threads: extractor.n_shards(),
+        wall_us: median(wall),
+        inline_us: median_of(inline),
+        worker_us: median_of(worker),
+        wait_us: median_of(wait),
+    }
+}
+
 /// Days of labeled 1-minute pv history before the durable session's swap
 /// in [`durable_session`]: the benchmark workloads' history.
 const DURABLE_HISTORY_DAYS: usize = 3;
@@ -948,6 +1031,25 @@ fn main() {
         );
     }
 
+    // ---- The extraction pool's balance on 30-point batches ----------------
+    let pool_runs: Vec<PoolBalance> = [1, configured_threads().max(2)]
+        .into_iter()
+        .map(|threads| pool_balance(threads, sizes.pool_batches))
+        .collect();
+    let fmt_us = |us: Option<f64>| us.map_or("null".to_string(), |v| format!("{v:.2}"));
+    for run in &pool_runs {
+        eprintln!(
+            "[pool] {} shard(s), {} batches of {POOL_BATCH} after {POOL_HISTORY_DAYS} days: \
+             wall {:.1} us, inline shard {} us, worker shard {} us, caller wait {} us (medians)",
+            run.threads,
+            sizes.pool_batches,
+            run.wall_us,
+            fmt_us(run.inline_us),
+            fmt_us(run.worker_us),
+            fmt_us(run.wait_us)
+        );
+    }
+
     // ---- Microbench 2: training throughput ------------------------------
     // `fit` shards tree building across a thread pool with per-tree RNG
     // streams, so every pass (and every thread count) produces the same
@@ -1223,6 +1325,15 @@ fn main() {
 {family_json}
     }}
   }},
+  "pool_balance": {{
+    "note": "OnlineExtractor::observe_batch on {pool_batch}-point batches of the 1-minute pv preset after {pool_days} days of history, one fresh extractor per thread count; medians per batch over {pool_batches} batches: wall_us, and for the worker pool the kernel time of the caller's own shard (inline_us), of the slowest worker shard (worker_us) and the caller's wait for the workers after its own shard (wait_us)",
+    "batch_points": {pool_batch},
+    "history_days": {pool_days},
+    "batches": {pool_batches},
+    "runs": [
+{pool_json}
+    ]
+  }},
   "training": {{
     "note": "RandomForest::fit rows/sec; trees are built on a thread pool with per-tree RNG streams, bit-identical to sequential",
     "n_trees": {micro_trees},
@@ -1330,6 +1441,22 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
+        pool_batch = POOL_BATCH,
+        pool_days = POOL_HISTORY_DAYS,
+        pool_batches = sizes.pool_batches,
+        pool_json = pool_runs
+            .iter()
+            .map(|run| format!(
+                "      {{\"threads\": {}, \"wall_us\": {:.2}, \"inline_us\": {}, \
+                 \"worker_us\": {}, \"wait_us\": {}}}",
+                run.threads,
+                run.wall_us,
+                fmt_us(run.inline_us),
+                fmt_us(run.worker_us),
+                fmt_us(run.wait_us)
+            ))
+            .collect::<Vec<_>>()
+            .join(",\n"),
         micro_trees = sizes.micro_trees,
         micro_rows = sizes.micro_rows,
         train_passes = TRAIN_PASSES,
@@ -1385,6 +1512,19 @@ fn main() {
             }
             Some(b) => eprintln!("[ceiling] session memory {b:.1} B/pt <= {ceiling:.0} B/pt"),
             None => eprintln!("[ceiling] session memory not measurable here; skipped"),
+        }
+    }
+    if let Some(ceiling) = floor_arg("--max-durable-bytes-per-pt") {
+        match durable_bpp {
+            Some(b) if b > ceiling => {
+                eprintln!(
+                    "[FAIL] a durable session writes {b:.1} B per served point, above the \
+                     committed ceiling of {ceiling:.0} B"
+                );
+                std::process::exit(1);
+            }
+            Some(b) => eprintln!("[ceiling] durable writes {b:.1} B/pt <= {ceiling:.0} B/pt"),
+            None => eprintln!("[ceiling] durable writes not measurable here; skipped"),
         }
     }
     if let Some(floor) = floor_arg("--min-extract-pps") {

@@ -13,17 +13,31 @@
 //! ([`opprentice_detectors::fused::plan`]): one structure-of-arrays kernel
 //! per detector family that advances all of the family's parameter
 //! configurations per point (bit-identical to the per-config scalar path).
+//! SVD, a third of all extraction work, is planned as one unit per
+//! lockstep pack (column count), so its work can split across shards.
+//!
 //! Units are assigned to worker shards by longest-processing-time greedy
-//! over each unit's **measured** ns/point, so one slow family (ARIMA, SVD)
-//! does not serialize the batch behind a shard full of cheap lanes. A fresh
+//! over each unit's **measured** ns/point, so one slow family does not
+//! serialize the batch behind a shard full of cheap lanes. A fresh
 //! extractor has no timings: every unit starts on the first shard, so the
 //! first batch runs on the caller's thread, and its timings place the
-//! units; they are re-placed from the running timings every
-//! `REBALANCE_POINTS` batched points. Placement is pure scheduling:
-//! every unit's state advances sequentially wherever it runs, so shard
-//! count, shard assignment and rebalancing never change a single output
-//! bit. The worker-pool width honours the process-wide
-//! `OPPRENTICE_THREADS` knob
+//! units. After that they are re-placed every `REBALANCE_POINTS` batched
+//! points from what each unit cost *since the last placement*: a family
+//! whose windows are still filling costs less per point than it will once
+//! they are full, so a lifetime average would keep placing it as if it
+//! were cheap.
+//!
+//! A batch runs the first shard on the caller's thread and the others on
+//! the worker pool. The caller places its own shard's output, then
+//! busy-waits for the workers for at most the slowest worker shard's
+//! estimated cost (capped at `SPIN_LIMIT_NS`) before it parks: parking
+//! and waking costs ~10 µs on a virtualized host, as much as a balanced
+//! batch's tail. If a worker has not even begun its shard by then, the
+//! host is oversubscribed and the caller parks at once. Placement is pure
+//! scheduling: every unit's state
+//! advances sequentially wherever it runs, so shard count, shard
+//! assignment and rebalancing never change a single output bit. The
+//! worker-pool width honours the process-wide `OPPRENTICE_THREADS` knob
 //! ([`opprentice_numeric::parallel::configured_threads`]).
 
 use opprentice_detectors::fused::{plan, FusedUnit};
@@ -32,9 +46,10 @@ use opprentice_learn::Dataset;
 use opprentice_numeric::parallel::configured_threads;
 use opprentice_timeseries::{Labels, TimeSeries};
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The per-point severities of every detector configuration.
 #[derive(Debug, Clone)]
@@ -242,21 +257,51 @@ pub fn extract_features(series: &TimeSeries) -> FeatureMatrix {
 /// more than it buys on a handful of points.
 const MIN_PARALLEL_BATCH: usize = 4;
 
-/// Shards are re-packed from live unit timings every this many points.
+/// Shards are re-packed from the units' recent timings every this many
+/// batched points.
 const REBALANCE_POINTS: u64 = 4096;
+
+/// The longest the caller busy-waits for the worker shards after its own
+/// shard before it parks ([`WorkerPool::wait`]). A park and wake costs
+/// ~10 µs on a virtualized host, as much as a balanced batch's tail; past
+/// this bound the workers were descheduled, and the caller's CPU is better
+/// given away.
+const SPIN_LIMIT_NS: u64 = 50_000;
 
 /// One fused kernel plus its output columns and cost accounting.
 struct Unit {
     inner: FusedUnit,
-    /// Live timing: total kernel nanoseconds over `measured_pts` points.
+    /// Lifetime timing: total kernel nanoseconds over `measured_pts`
+    /// points (reported by [`OnlineExtractor::family_stats`]).
     measured_ns: u64,
     measured_pts: u64,
+    /// Timing since the last placement, which the next placement uses:
+    /// a family whose windows are still filling costs less per point than
+    /// it will once they are full, so lifetime averages lag.
+    recent_ns: u64,
+    recent_pts: u64,
 }
 
 impl Unit {
-    /// Measured ns/point; 0 until the unit has run a batch.
+    fn new(inner: FusedUnit) -> Self {
+        Self {
+            inner,
+            measured_ns: 0,
+            measured_pts: 0,
+            recent_ns: 0,
+            recent_pts: 0,
+        }
+    }
+
+    /// Measured ns/point since the last placement, or over the unit's
+    /// lifetime if it has not run since; 0 until it has run a batch.
     fn cost_estimate(&self) -> f64 {
-        self.measured_ns as f64 / self.measured_pts.max(1) as f64
+        let (ns, pts) = if self.recent_pts > 0 {
+            (self.recent_ns, self.recent_pts)
+        } else {
+            (self.measured_ns, self.measured_pts)
+        };
+        ns as f64 / pts.max(1) as f64
     }
 }
 
@@ -271,18 +316,29 @@ struct Shard {
     /// `u` with `k` lanes occupies `k × batch_len` slots, row-major
     /// (`block[i * k + j]`).
     out: Vec<Option<f64>>,
+    /// Kernel nanoseconds of the last batch, all units together.
+    batch_ns: u64,
 }
 
 impl Shard {
+    fn new(units: Vec<Unit>) -> Self {
+        Self {
+            units,
+            out: Vec::new(),
+            batch_ns: 0,
+        }
+    }
+
     /// Runs every unit over one batch, timing each kernel for the cost
     /// model. Per-unit state advances sequentially, so results are
     /// bit-identical to streaming regardless of which shard a unit is on.
     fn run(&mut self, timestamps: &[i64], values: &[Option<f64>]) {
         let n = timestamps.len();
         let total: usize = self.units.iter().map(|u| u.inner.columns.len()).sum();
-        self.out.clear();
+        // Kernels write every lane of every row, so no clearing.
         self.out.resize(total * n, None);
         let mut offset = 0;
+        self.batch_ns = 0;
         for unit in &mut self.units {
             let k = unit.inner.columns.len();
             let block = &mut self.out[offset * n..(offset + k) * n];
@@ -290,10 +346,35 @@ impl Shard {
             for ((&ts, &v), row) in timestamps.iter().zip(values).zip(block.chunks_exact_mut(k)) {
                 unit.inner.kernel.observe(ts, v, row);
             }
-            unit.measured_ns += t0.elapsed().as_nanos() as u64;
+            let ns = t0.elapsed().as_nanos() as u64;
+            unit.measured_ns += ns;
             unit.measured_pts += n as u64;
+            unit.recent_ns += ns;
+            unit.recent_pts += n as u64;
+            self.batch_ns += ns;
             offset += k;
         }
+    }
+
+    /// Copies the last batch's output into the row-major `n × m` batch
+    /// buffer, each lane to its unit's column.
+    fn scatter(&self, batch: &mut [Option<f64>], n: usize, m: usize) {
+        let mut offset = 0;
+        for unit in &self.units {
+            let k = unit.inner.columns.len();
+            let block = &self.out[offset * n..(offset + k) * n];
+            for (row, lanes) in batch.chunks_exact_mut(m).zip(block.chunks_exact(k)) {
+                for (&c, &v) in unit.inner.columns.iter().zip(lanes) {
+                    row[c] = v;
+                }
+            }
+            offset += k;
+        }
+    }
+
+    /// Estimated kernel nanoseconds for a batch of `n` points.
+    fn cost_estimate(&self, n: usize) -> f64 {
+        self.units.iter().map(Unit::cost_estimate).sum::<f64>() * n as f64
     }
 }
 
@@ -301,6 +382,9 @@ impl Shard {
 struct BatchInput {
     timestamps: Vec<i64>,
     values: Vec<Option<f64>>,
+    /// Workers that have begun their shard. A scheduling hint that
+    /// publishes no data, so it is read and written `Relaxed`.
+    started: AtomicUsize,
 }
 
 /// A unit of pool work: the shard itself rides along (ownership transfer,
@@ -342,6 +426,7 @@ impl WorkerPool {
                             Err(_) => return, // pool dropped
                         };
                         let Job { mut shard, input } = job;
+                        input.started.fetch_add(1, Ordering::Relaxed);
                         let done = std::panic::catch_unwind(AssertUnwindSafe(move || {
                             shard.run(&input.timestamps, &input.values);
                             shard
@@ -358,6 +443,25 @@ impl WorkerPool {
             job_tx,
             done_rx,
             _workers: workers,
+        }
+    }
+
+    /// Takes the next finished shard, busy-waiting until `spin_until` and
+    /// then parking.
+    fn wait(&self, spin_until: Instant) -> Done {
+        loop {
+            match self.done_rx.try_recv() {
+                Ok(done) => return done,
+                Err(TryRecvError::Empty) if Instant::now() < spin_until => {
+                    // Yielding rather than spinning hands the CPU to a
+                    // descheduled worker on an oversubscribed host.
+                    std::thread::yield_now();
+                }
+                Err(TryRecvError::Empty) => {
+                    return self.done_rx.recv().expect("extraction worker died")
+                }
+                Err(TryRecvError::Disconnected) => panic!("extraction worker died"),
+            }
         }
     }
 }
@@ -386,6 +490,18 @@ fn lpt_assign(mut units: Vec<Unit>, n_shards: usize) -> Vec<Vec<Unit>> {
         shards[lightest].push(unit);
     }
     shards
+}
+
+/// Where the wall time of a batch that ran on the worker pool went (see
+/// [`OnlineExtractor::last_pool_batch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolBatchTiming {
+    /// Kernel nanoseconds of the shard the caller ran itself.
+    pub inline_ns: u64,
+    /// Kernel nanoseconds of the slowest worker shard.
+    pub worker_ns: u64,
+    /// Nanoseconds the caller waited for the workers after its own shard.
+    pub wait_ns: u64,
 }
 
 /// Measured extraction cost of one detector family, aggregated over all of
@@ -426,6 +542,7 @@ pub struct OnlineExtractor {
     /// but the first (the caller runs that one).
     pool: Option<WorkerPool>,
     points_since_rebalance: u64,
+    last_pool_batch: Option<PoolBatchTiming>,
 }
 
 impl OnlineExtractor {
@@ -451,14 +568,7 @@ impl OnlineExtractor {
         let labels: Vec<String> = configs.iter().map(DetectorSpec::label).collect();
         let m = configs.len();
 
-        let units: Vec<Unit> = plan(configs)
-            .into_iter()
-            .map(|inner| Unit {
-                inner,
-                measured_ns: 0,
-                measured_pts: 0,
-            })
-            .collect();
+        let units: Vec<Unit> = plan(configs).into_iter().map(Unit::new).collect();
         let scratch_width = units
             .iter()
             .map(|u| u.inner.columns.len())
@@ -467,10 +577,7 @@ impl OnlineExtractor {
         let n_shards = configured_threads().min(units.len()).max(1);
         let shards = lpt_assign(units, n_shards)
             .into_iter()
-            .map(|units| Shard {
-                units,
-                out: Vec::new(),
-            })
+            .map(Shard::new)
             .collect();
 
         Self {
@@ -483,6 +590,7 @@ impl OnlineExtractor {
             pool: None,
             // Due at once: the first batch's timings place the units.
             points_since_rebalance: REBALANCE_POINTS,
+            last_pool_batch: None,
         }
     }
 
@@ -531,7 +639,15 @@ impl OnlineExtractor {
         stats
     }
 
-    /// Re-packs units onto shards from the live cost estimates. Called
+    /// How the last batch split its time across the worker pool, or `None`
+    /// if it ran on the caller's thread alone. Powers the serving
+    /// benchmark's pool-balance section.
+    pub fn last_pool_batch(&self) -> Option<PoolBatchTiming> {
+        self.last_pool_batch
+    }
+
+    /// Re-packs units onto shards from the cost each measured since the
+    /// last placement, then starts a new measurement window. Called
     /// automatically after the first batch and then every
     /// `REBALANCE_POINTS` batched points; public so benchmarks and tests
     /// can force it. Never changes extraction output — placement is pure
@@ -549,9 +665,12 @@ impl OnlineExtractor {
         units.sort_by_key(|u| u.inner.columns[0]);
         self.shards = lpt_assign(units, n_shards)
             .into_iter()
-            .map(|units| Shard {
-                units,
-                out: Vec::new(),
+            .map(|mut units| {
+                for unit in &mut units {
+                    unit.recent_ns = 0;
+                    unit.recent_pts = 0;
+                }
+                Shard::new(units)
             })
             .collect();
         self.points_since_rebalance = 0;
@@ -586,8 +705,10 @@ impl OnlineExtractor {
         assert_eq!(timestamps.len(), values.len(), "batch length mismatch");
         let n = timestamps.len();
         let m = self.n_features;
-        self.batch.clear();
+        // Every cell is overwritten below (unit columns partition the row),
+        // so the buffer is resized, never cleared.
         self.batch.resize(n * m, None);
+        self.last_pool_batch = None;
         if n == 0 {
             return &self.batch;
         }
@@ -595,6 +716,7 @@ impl OnlineExtractor {
         if n < MIN_PARALLEL_BATCH || self.shards[1..].iter().all(|s| s.units.is_empty()) {
             for shard in &mut self.shards {
                 shard.run(timestamps, values);
+                shard.scatter(&mut self.batch, n, m);
             }
         } else {
             // The caller runs shard 0 itself; the pool takes the rest.
@@ -606,8 +728,14 @@ impl OnlineExtractor {
             let input = Arc::new(BatchInput {
                 timestamps: timestamps.to_vec(),
                 values: values.to_vec(),
+                started: AtomicUsize::new(0),
             });
             let n_jobs = self.shards.len() - 1;
+            let worker_estimate_ns = self.shards[1..]
+                .iter()
+                .map(|s| s.cost_estimate(n) as u64)
+                .max()
+                .unwrap_or(0);
             for shard in self.shards.drain(1..) {
                 pool.job_tx
                     .send(Job {
@@ -619,14 +747,39 @@ impl OnlineExtractor {
             let inline = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 self.shards[0].run(timestamps, values)
             }));
+            // The caller places its own shard's output while the workers
+            // finish theirs.
+            if inline.is_ok() {
+                self.shards[0].scatter(&mut self.batch, n, m);
+            }
+            // The caller busy-waits at most what the costliest worker shard
+            // is expected to take, so a balanced batch never parks. A
+            // worker that has not begun its shard by now is waiting for a
+            // CPU (the host is oversubscribed): spinning would only delay
+            // it, so then the caller parks at once.
+            let spin_ns = if input.started.load(Ordering::Relaxed) == n_jobs {
+                worker_estimate_ns.min(SPIN_LIMIT_NS)
+            } else {
+                0
+            };
+            let spin_until = Instant::now() + Duration::from_nanos(spin_ns);
             // Shards come back in completion order; output assembly goes
             // through each unit's columns, so order cannot matter. Every
             // job is collected before a panic propagates, so no stale
             // result is left in the channel.
             let mut worker_panicked = false;
+            let mut worker_ns = 0;
+            let mut wait_ns = 0;
             for _ in 0..n_jobs {
-                match pool.done_rx.recv().expect("extraction worker died") {
-                    Done::Ok(shard) => self.shards.push(shard),
+                let t0 = Instant::now();
+                let done = pool.wait(spin_until);
+                wait_ns += t0.elapsed().as_nanos() as u64;
+                match done {
+                    Done::Ok(shard) => {
+                        worker_ns = worker_ns.max(shard.batch_ns);
+                        shard.scatter(&mut self.batch, n, m);
+                        self.shards.push(shard);
+                    }
                     Done::Panicked => worker_panicked = true,
                 }
             }
@@ -634,21 +787,11 @@ impl OnlineExtractor {
                 std::panic::resume_unwind(payload);
             }
             assert!(!worker_panicked, "extraction worker panicked");
-        }
-
-        let batch = &mut self.batch;
-        for shard in &self.shards {
-            let mut offset = 0;
-            for unit in &shard.units {
-                let k = unit.inner.columns.len();
-                let block = &shard.out[offset * n..(offset + k) * n];
-                for i in 0..n {
-                    for (j, &c) in unit.inner.columns.iter().enumerate() {
-                        batch[i * m + c] = block[i * k + j];
-                    }
-                }
-                offset += k;
-            }
+            self.last_pool_batch = Some(PoolBatchTiming {
+                inline_ns: self.shards[0].batch_ns,
+                worker_ns,
+                wait_ns,
+            });
         }
 
         self.points_since_rebalance += n as u64;
@@ -737,17 +880,16 @@ mod tests {
         let mut streaming = OnlineExtractor::new(s.interval());
         let mut batched = OnlineExtractor::new(s.interval());
         let m = batched.n_features();
-        // Uneven chunks with a forced rebalance in the middle.
+        // Uneven chunks, the units placed anew after every batch from
+        // that batch's timings alone.
         let mut start = 0;
         let mut chunk = 1;
         while start < timestamps.len() {
             let end = (start + chunk).min(timestamps.len());
-            if start > timestamps.len() / 2 {
-                batched.rebalance_now();
-            }
             let rows = batched
                 .observe_batch(&timestamps[start..end], &values[start..end])
                 .to_vec();
+            batched.rebalance_now();
             for (i, point) in (start..end).enumerate() {
                 let row = streaming.observe(timestamps[point], values[point]);
                 for c in 0..m {
@@ -774,8 +916,11 @@ mod tests {
         let configs: usize = stats.iter().map(|f| f.configs).sum();
         assert_eq!(configs, 133);
         assert!(stats.iter().all(|f| f.points == timestamps.len() as u64));
-        // Families are aggregated: far fewer entries than units.
-        assert!(stats.len() <= 14, "{stats:?}");
+        // Families are aggregated: the three SVD pack units report as one.
+        assert!(stats.len() <= 12, "{stats:?}");
+        let svd: Vec<&FamilyStat> = stats.iter().filter(|f| f.family == "SVD").collect();
+        assert_eq!(svd.len(), 1, "{stats:?}");
+        assert_eq!(svd[0].configs, 15);
     }
 
     #[test]

@@ -239,6 +239,12 @@ impl Opprentice {
         self.raw.len()
     }
 
+    /// Every point observed so far as `(timestamp, value)`, in arrival
+    /// order: the raw log a retrain re-extracts from.
+    pub fn raw_points(&self) -> &[(i64, Option<f64>)] {
+        &self.raw
+    }
+
     /// Number of points with operator labels so far.
     pub fn labeled_len(&self) -> usize {
         self.truth.len()

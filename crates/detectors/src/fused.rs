@@ -38,7 +38,7 @@
 //! [`ScalarKernel`] does for the unfused configurations.
 
 use crate::registry::DetectorSpec;
-use crate::svd::FusedSvd;
+use crate::svd::{pack_lanes, FusedSvd};
 use crate::wavelet::{Band, FusedWavelet};
 use crate::{Detector, MAX_SEVERITY};
 use opprentice_numeric::rolling::{mad_of_sorted, median_of_sorted, SlotRings, SortedWindow};
@@ -1151,16 +1151,7 @@ fn build_kernel(run: &[DetectorSpec], key: FuseKey) -> Box<dyn FamilyKernel> {
                 .collect();
             Box::new(FusedHistorical::new(&cfgs, interval))
         }
-        FuseKey::Svd => {
-            let cfgs: Vec<(usize, usize)> = run
-                .iter()
-                .map(|spec| match *spec {
-                    DetectorSpec::Svd { rows, cols } => (rows, cols),
-                    _ => unreachable!("mixed run"),
-                })
-                .collect();
-            Box::new(FusedSvd::new(&cfgs))
-        }
+        FuseKey::Svd => unreachable!("plan splits SVD runs with svd_units"),
         FuseKey::Wavelet(interval) => {
             let cfgs: Vec<(usize, Band)> = run
                 .iter()
@@ -1186,6 +1177,27 @@ fn build_kernel(run: &[DetectorSpec], key: FuseKey) -> Box<dyn FamilyKernel> {
     }
 }
 
+/// One single-pack [`FusedSvd`] unit per lockstep pack of an SVD run
+/// ([`pack_lanes`]): lanes of one column count, so a unit's columns skip
+/// the run's other column counts. Each unit keeps its own ring, sized for
+/// its widest lane, and can be placed on a shard of its own.
+fn svd_units(run: &[DetectorSpec], start: usize) -> impl Iterator<Item = FusedUnit> {
+    let cfgs: Vec<(usize, usize)> = run
+        .iter()
+        .map(|spec| match *spec {
+            DetectorSpec::Svd { rows, cols } => (rows, cols),
+            _ => unreachable!("mixed run"),
+        })
+        .collect();
+    pack_lanes(&cfgs).into_iter().map(move |lanes| {
+        let pack: Vec<(usize, usize)> = lanes.iter().map(|&i| cfgs[i]).collect();
+        FusedUnit {
+            kernel: Box::new(FusedSvd::new(&pack)),
+            columns: lanes.iter().map(|&i| start + i).collect(),
+        }
+    })
+}
+
 fn spec_wins(run: &[DetectorSpec]) -> Vec<usize> {
     run.iter()
         .map(|spec| match *spec {
@@ -1202,9 +1214,13 @@ fn spec_wins(run: &[DetectorSpec]) -> Vec<usize> {
 /// Adjacent configurations with the same fusable family (and interval)
 /// become one fused kernel; every other configuration is a unit of its own
 /// ([`ScalarKernel`], the only place extraction builds a boxed detector).
-/// Works on any subset and order: pruned sets in registry order fuse
-/// exactly like the full registry, just with fewer lanes. A unit's columns
-/// are its configurations' positions in `specs`.
+/// The exception is SVD, the costliest family per point: a run of SVD
+/// configurations becomes one unit per lockstep pack (one column count,
+/// up to five row counts), so the extraction engine can split its work
+/// across shards. Works on any subset and order: pruned sets in registry
+/// order fuse exactly like the full registry, just with fewer lanes. A
+/// unit's columns are its configurations' positions in `specs`, ascending;
+/// units are ordered by their first column.
 pub fn plan(specs: &[DetectorSpec]) -> Vec<FusedUnit> {
     let mut units = Vec::new();
     let mut start = 0;
@@ -1220,14 +1236,17 @@ pub fn plan(specs: &[DetectorSpec]) -> Vec<FusedUnit> {
             }
             None => start + 1,
         };
-        let kernel: Box<dyn FamilyKernel> = match key {
-            Some(key) => build_kernel(&specs[start..end], key),
-            None => Box::new(ScalarKernel::new(&specs[start])),
-        };
-        units.push(FusedUnit {
-            kernel,
-            columns: (start..end).collect(),
-        });
+        match key {
+            Some(FuseKey::Svd) => units.extend(svd_units(&specs[start..end], start)),
+            Some(key) => units.push(FusedUnit {
+                kernel: build_kernel(&specs[start..end], key),
+                columns: (start..end).collect(),
+            }),
+            None => units.push(FusedUnit {
+                kernel: Box::new(ScalarKernel::new(&specs[start])),
+                columns: vec![start],
+            }),
+        }
         start = end;
     }
     units
@@ -1292,14 +1311,16 @@ mod tests {
         let units = plan(&registry(3600));
         let total: usize = units.iter().map(|u| u.columns.len()).sum();
         assert_eq!(total, 133);
-        // Columns are a permutation of 0..133 in order.
-        let cols: Vec<usize> = units.iter().flat_map(|u| u.columns.clone()).collect();
+        // Columns are a permutation of 0..133.
+        let mut cols: Vec<usize> = units.iter().flat_map(|u| u.columns.clone()).collect();
+        cols.sort_unstable();
         assert_eq!(cols, (0..133).collect::<Vec<_>>());
         let sizes: Vec<(&str, usize)> = units
             .iter()
             .map(|u| (u.kernel.family(), u.columns.len()))
             .collect();
-        // One fused kernel per family; TSD+MAD and historical+MAD merge.
+        // One fused kernel per family but SVD; TSD+MAD and historical+MAD
+        // merge.
         assert!(sizes.contains(&("diff", 3)));
         assert!(sizes.contains(&("simple MA", 5)));
         assert!(sizes.contains(&("weighted MA", 5)));
@@ -1308,15 +1329,28 @@ mod tests {
         assert!(sizes.contains(&("TSD/TSD MAD", 10)));
         assert!(sizes.contains(&("historical average/MAD", 10)));
         assert!(sizes.contains(&("Holt-Winters", 64)));
-        assert!(sizes.contains(&("SVD", 15)));
         assert!(sizes.contains(&("wavelet", 9)));
         assert!(sizes.contains(&("ARIMA", 1)));
         assert!(sizes.contains(&("simple threshold", 1)));
         assert_eq!(
             units.len(),
-            12,
-            "two unfused units: simple threshold and ARIMA"
+            14,
+            "two unfused units (simple threshold and ARIMA), three SVD packs"
         );
+        // SVD splits into one unit per column count: registry order is
+        // rows-major, so each pack's columns step by three.
+        let svd: Vec<&FusedUnit> = units
+            .iter()
+            .filter(|u| u.kernel.family() == "SVD")
+            .collect();
+        assert_eq!(svd.len(), 3);
+        for (p, unit) in svd.iter().enumerate() {
+            let first = svd[0].columns[0] + p;
+            let expect: Vec<usize> = (0..5).map(|r| first + 3 * r).collect();
+            assert_eq!(unit.columns, expect);
+        }
+        // Units come in order of their first column.
+        assert!(units.windows(2).all(|w| w[0].columns[0] < w[1].columns[0]));
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! drift. The exact Jacobi SVD lives in `opprentice_numeric::svd` and
 //! anchors this approximation in tests.
 //!
-//! [`FusedSvd`] is the config-fused form the extraction engine runs: all
-//! of the registry's 15 `(rows, cols)` lanes over one shared window of
-//! present values, with the lanes of one column count advanced in lockstep
-//! (see its docs for the bit-identity argument).
+//! [`FusedSvd`] is the config-fused form: any set of `(rows, cols)` lanes
+//! over one shared window of present values, with the lanes of one column
+//! count advanced in lockstep (see its docs for the bit-identity
+//! argument). The extraction engine runs one single-pack `FusedSvd` per
+//! pack of the registry's 15 lanes ([`pack_lanes`]), so the three packs
+//! can run on different shards.
 
 use crate::fused::FamilyKernel;
 use crate::{Detector, MAX_SEVERITY};
@@ -520,18 +522,6 @@ macro_rules! svd_packs {
                 }
             }
 
-            fn cols(&self) -> usize {
-                match self {
-                    $(Pack::$variant(_) => $c,)+
-                }
-            }
-
-            fn lanes(&self) -> usize {
-                match self {
-                    $(Pack::$variant(p) => p.n,)+
-                }
-            }
-
             fn push_lane(&mut self, rows: usize, slot: usize) {
                 match self {
                     $(Pack::$variant(p) => p.push_lane(rows, slot),)+
@@ -549,6 +539,27 @@ macro_rules! svd_packs {
 
 svd_packs!(C2 = 2, C3 = 3, C4 = 4, C5 = 5, C6 = 6, C7 = 7, C8 = 8);
 
+/// Groups `(rows, cols)` lanes into lockstep packs the way
+/// [`FusedSvd::new`] does: each lane joins the first pack of its column
+/// count with room left, in config order. Returns each pack's config
+/// indices, ascending; packs are ordered by their first lane.
+///
+/// [`crate::fused::plan`] builds one single-pack [`FusedSvd`] per group,
+/// so the extraction engine can place each pack on its own shard.
+pub fn pack_lanes(configs: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    let mut packs: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (i, &(_, cols)) in configs.iter().enumerate() {
+        match packs
+            .iter_mut()
+            .find(|(c, lanes)| *c == cols && lanes.len() < LANES)
+        {
+            Some((_, lanes)) => lanes.push(i),
+            None => packs.push((cols, vec![i])),
+        }
+    }
+    packs.into_iter().map(|(_, lanes)| lanes).collect()
+}
+
 impl FusedSvd {
     /// Creates lanes for the given `(rows, cols)` configurations, in
     /// output order.
@@ -559,21 +570,19 @@ impl FusedSvd {
     /// one has more than [`MAX_COLS`] columns.
     pub fn new(configs: &[(usize, usize)]) -> Self {
         assert!(!configs.is_empty(), "no configs");
-        let mut packs: Vec<Pack> = Vec::new();
-        for (slot, &(rows, cols)) in configs.iter().enumerate() {
+        for &(rows, cols) in configs {
             check_shape(rows, cols);
-            let p = match packs
-                .iter()
-                .position(|p| p.cols() == cols && p.lanes() < LANES)
-            {
-                Some(i) => i,
-                None => {
-                    packs.push(Pack::new(cols));
-                    packs.len() - 1
-                }
-            };
-            packs[p].push_lane(rows, slot);
         }
+        let packs = pack_lanes(configs)
+            .into_iter()
+            .map(|lanes| {
+                let mut pack = Pack::new(configs[lanes[0]].1);
+                for slot in lanes {
+                    pack.push_lane(configs[slot].0, slot);
+                }
+                pack
+            })
+            .collect();
         let span = configs
             .iter()
             .map(|&(r, c)| r * c)

@@ -10,6 +10,9 @@
 //!   output bit (placement is pure scheduling);
 //! - the scalar fallback path (the extension registry's CUSUM,
 //!   sliding-percentile and seasonal-ESD specs) runs correctly too;
+//! - pruned and reordered registries, whose SVD lanes plan one unit per
+//!   column count with interleaved columns, match the scalar detectors
+//!   while the units are placed anew after every batch;
 //! - the lockstep SVD kernel matches the boxed SVD detectors on every
 //!   pruned subset of its 15 lanes, across missing bursts at Gram-refresh
 //!   boundaries, converged (constant) and degenerate (all-zero) windows,
@@ -278,7 +281,9 @@ fn family_configs(family: &str, mask: u16) -> Vec<DetectorSpec> {
 
 /// Drives the fused kernel of `family` over the `mask` lanes and checks
 /// every severity against the boxed detectors; at `cut` the kernel is
-/// cloned and the clone must track the oracle too.
+/// cloned and the clone must track the oracle too. SVD plans one kernel
+/// per lockstep pack (one column count, up to five lanes), so its lanes
+/// are checked across all of the plan's units.
 fn check_lanes(
     family: &str,
     mask: u16,
@@ -288,51 +293,90 @@ fn check_lanes(
     let specs = family_configs(family, mask);
     let mut oracle = scalar_detectors(&specs);
     let mut units = plan(&specs);
-    prop_assert_eq!(units.len(), 1, "{} lanes must fuse into one kernel", family);
-    let kernel = &mut units[0].kernel;
-    // A kernel fusing one variant of a combined family reports that
-    // variant's name.
-    let mut names: Vec<&str> = specs.iter().map(DetectorSpec::name).collect();
-    names.dedup();
-    let expect_family = if names.len() == 1 { names[0] } else { family };
-    prop_assert_eq!(kernel.family(), expect_family);
-    let k = kernel.n_configs();
-    prop_assert_eq!(k, oracle.len());
-    let mut row = vec![None; k];
-    let mut clone: Option<Box<dyn FamilyKernel>> = None;
-    let mut clone_row = vec![None; k];
+    if family == "SVD" {
+        let pack_cols: Vec<Vec<usize>> = units
+            .iter()
+            .map(|u| u.columns.iter().map(|&c| svd_cols(&specs[c])).collect())
+            .collect();
+        let mut distinct: Vec<usize> = pack_cols.iter().map(|cols| cols[0]).collect();
+        distinct.dedup();
+        prop_assert_eq!(
+            distinct.len(),
+            units.len(),
+            "SVD lanes must fuse into one kernel per column count (mask {:#x})",
+            mask
+        );
+        for cols in &pack_cols {
+            prop_assert!(cols.len() <= 5 && cols.iter().all(|&c| c == cols[0]));
+        }
+    } else {
+        prop_assert_eq!(units.len(), 1, "{} lanes must fuse into one kernel", family);
+    }
+    let mut covered: Vec<usize> = units.iter().flat_map(|u| u.columns.clone()).collect();
+    covered.sort_unstable();
+    prop_assert_eq!(covered, (0..specs.len()).collect::<Vec<_>>());
+    for unit in &units {
+        // A kernel fusing one variant of a combined family reports that
+        // variant's name.
+        let mut names: Vec<&str> = unit.columns.iter().map(|&c| specs[c].name()).collect();
+        names.dedup();
+        let expect_family = if names.len() == 1 { names[0] } else { family };
+        prop_assert_eq!(unit.kernel.family(), expect_family);
+        prop_assert_eq!(unit.kernel.n_configs(), unit.columns.len());
+    }
+    let mut rows: Vec<Vec<Option<f64>>> =
+        units.iter().map(|u| vec![None; u.columns.len()]).collect();
+    let mut clone_rows = rows.clone();
+    let mut clones: Option<Vec<Box<dyn FamilyKernel>>> = None;
     for (i, v) in values.iter().enumerate() {
         if i == cut {
-            clone = Some(kernel.clone_box());
+            clones = Some(units.iter().map(|u| u.kernel.clone_box()).collect());
         }
         let ts = i as i64 * i64::from(INTERVAL);
-        kernel.observe(ts, *v, &mut row);
-        if let Some(c) = clone.as_mut() {
-            c.observe(ts, *v, &mut clone_row);
+        for (unit, row) in units.iter_mut().zip(&mut rows) {
+            unit.kernel.observe(ts, *v, row);
         }
-        for (j, det) in oracle.iter_mut().enumerate() {
-            let expect = clamp_severity(det.observe(ts, *v)).map(f64::to_bits);
-            prop_assert_eq!(
-                row[j].map(f64::to_bits),
-                expect,
-                "{} diverged at point {} (mask {:#x})",
-                specs[j].label(),
-                i,
-                mask
-            );
-            if clone.is_some() {
+        if let Some(clones) = clones.as_mut() {
+            for (kernel, row) in clones.iter_mut().zip(&mut clone_rows) {
+                kernel.observe(ts, *v, row);
+            }
+        }
+        let expect: Vec<Option<u64>> = oracle
+            .iter_mut()
+            .map(|det| clamp_severity(det.observe(ts, *v)).map(f64::to_bits))
+            .collect();
+        for ((unit, row), clone_row) in units.iter().zip(&rows).zip(&clone_rows) {
+            for (j, &c) in unit.columns.iter().enumerate() {
                 prop_assert_eq!(
-                    clone_row[j].map(f64::to_bits),
-                    expect,
-                    "clone of {} diverged at point {} (mask {:#x})",
-                    specs[j].label(),
+                    row[j].map(f64::to_bits),
+                    expect[c],
+                    "{} diverged at point {} (mask {:#x})",
+                    specs[c].label(),
                     i,
                     mask
                 );
+                if clones.is_some() {
+                    prop_assert_eq!(
+                        clone_row[j].map(f64::to_bits),
+                        expect[c],
+                        "clone of {} diverged at point {} (mask {:#x})",
+                        specs[c].label(),
+                        i,
+                        mask
+                    );
+                }
             }
         }
     }
     Ok(())
+}
+
+/// The column count of an SVD spec.
+fn svd_cols(spec: &DetectorSpec) -> usize {
+    match *spec {
+        DetectorSpec::Svd { cols, .. } => cols,
+        _ => unreachable!("an SVD spec"),
+    }
 }
 
 /// A stream of noisy seasonal stretches interleaved with missing bursts,
@@ -387,6 +431,98 @@ proptest! {
     ) {
         let cut = (values.len() as f64 * cut_frac) as usize;
         check_lanes("SVD", mask, &values, cut)?;
+    }
+}
+
+/// A pruned, reordered registry: each configuration kept with
+/// probability `keep`, then the families' blocks shuffled and some blocks
+/// reversed. A family's configurations stay adjacent, so an SVD block still
+/// plans one unit per column count, each with non-contiguous columns.
+fn reordered_subset(seed: u64, keep: f64) -> Vec<DetectorSpec> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut blocks: Vec<Vec<DetectorSpec>> = Vec::new();
+    for spec in registry(INTERVAL) {
+        if next() >= keep {
+            continue;
+        }
+        match blocks.last_mut() {
+            Some(block) if block[0].name() == spec.name() => block.push(spec),
+            _ => blocks.push(vec![spec]),
+        }
+    }
+    if blocks.is_empty() {
+        blocks.push(vec![DetectorSpec::Svd { rows: 10, cols: 3 }]);
+    }
+    for i in (1..blocks.len()).rev() {
+        let j = (next() * (i + 1) as f64) as usize;
+        blocks.swap(i, j);
+    }
+    for block in &mut blocks {
+        if next() < 0.5 {
+            block.reverse();
+        }
+    }
+    blocks.concat()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Pruned and reordered registries run through the extraction engine,
+    /// SVD split into per-column-count units whose columns interleave,
+    /// placed anew after every batch, and stay bit-identical to the scalar
+    /// detectors.
+    #[test]
+    fn reordered_subsets_through_svd_pack_units_match_scalar_detectors(
+        values in svd_stream_strategy(),
+        seed in any::<u64>(),
+        keep in 0.3f64..1.0,
+    ) {
+        let specs = reordered_subset(seed, keep);
+        // One SVD unit per column count: the registry has five row counts
+        // per column count, one pack's worth.
+        let svd_units = plan(&specs).iter().filter(|u| u.kernel.family() == "SVD").count();
+        let mut svd_widths: Vec<usize> =
+            specs.iter().filter(|s| s.name() == "SVD").map(svd_cols).collect();
+        svd_widths.sort_unstable();
+        svd_widths.dedup();
+        prop_assert_eq!(svd_units, svd_widths.len());
+
+        let mut oracle = scalar_detectors(&specs);
+        let mut fused = OnlineExtractor::with_configs(&specs);
+        let m = fused.n_features();
+        prop_assert_eq!(m, specs.len());
+        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15 | 1;
+        let mut i = 0usize;
+        while i < values.len() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let end = (i + 1 + (state % 61) as usize).min(values.len());
+            let timestamps: Vec<i64> =
+                (i..end).map(|j| j as i64 * i64::from(INTERVAL)).collect();
+            let rows = fused.observe_batch(&timestamps, &values[i..end]).to_vec();
+            fused.rebalance_now();
+            for (k, j) in (i..end).enumerate() {
+                for (c, det) in oracle.iter_mut().enumerate() {
+                    prop_assert_eq!(
+                        rows[k * m + c].map(f64::to_bits),
+                        clamp_severity(det.observe(timestamps[k], values[j])).map(f64::to_bits),
+                        "{} (column {}) diverged at point {}",
+                        specs[c].label(),
+                        c,
+                        j
+                    );
+                }
+            }
+            i = end;
+        }
     }
 }
 
